@@ -1,6 +1,6 @@
 """Randomized differential conformance harness for the forwarding pipeline.
 
-Four PRs of deferral/coalescing machinery now interact — send windows,
+The pipeline's deferral/coalescing machinery interacts — send windows,
 handle promises, dependency-tracked prefix flushing, ``clFlush``
 submission barriers, transfer coalescing in every direction and
 coalesced result reads.  Each optimisation is unit-tested in isolation;
@@ -8,16 +8,12 @@ what this harness locks down is their *composition*: a seeded generator
 builds small workload DAGs (multi-queue kernels, user-event gating,
 blocking and non-blocking transfers, ``clFlush``/``clFinish``, mid-run
 creation failures, duplicate and failing program builds, iterative
-producer->consumer loops) and runs each program under six pipeline
+producer->consumer loops) and runs each program under four pipeline
 configurations:
 
-* ``sync`` — batching fully disabled, every extension off including
-  the program build cache and predictive pushes (one round trip per
+* ``sync`` — the synchronous forwarding mode (``batch_window=0``) with
+  the program build cache and predictive pushes off (one round trip per
   forwarded call: the semantics oracle);
-* ``batched`` — send windows, deferred relays and handle promises on,
-  every coalescing knob off, pushes off;
-* ``coalesced_off`` — the full pipeline with ``coalesce_reads=False``
-  (the read-coalescing ablation mirror);
 * ``coalesced_on`` — everything on (the shipping default);
 * ``cache_off`` — the full pipeline with ``program_cache=False`` (the
   content-addressed build-cache ablation mirror: every build pays the
@@ -32,8 +28,8 @@ OpenCL semantics*; the pipeline being "just" a communication
 optimisation means every configuration must produce **bit-identical
 buffer contents**, **identical coherence-directory state** and the same
 error behaviour, while the ``NetStats`` counters obey the structural
-invariants each configuration promises (a sync run never batches, an
-ablated run never fuses, more machinery never costs more round trips).
+invariants each configuration promises (a sync run never batches or
+fuses, more machinery never costs more round trips).
 Any divergence is reported with the generating seed so the exact
 program can be replayed.
 
@@ -94,26 +90,10 @@ from repro.testbed import deploy_dopencl
 #: run of many seeds stays inside the time budget.
 BUFFER_ELEMS = 64
 
-#: The six pipeline configurations every generated program runs under
+#: The four pipeline configurations every generated program runs under
 #: (see the module docstring).  ``sync`` is the oracle.
 CONFIGS: Dict[str, Dict[str, object]] = {
-    "sync": dict(
-        batch_window=0,
-        defer_event_relays=False,
-        coalesce_uploads=False,
-        defer_creations=False,
-        coalesce_transfers=False,
-        coalesce_reads=False,
-        push_transfers=False,
-        program_cache=False,
-    ),
-    "batched": dict(
-        coalesce_uploads=False,
-        coalesce_transfers=False,
-        coalesce_reads=False,
-        push_transfers=False,
-    ),
-    "coalesced_off": dict(coalesce_reads=False),
+    "sync": dict(batch_window=0, push_transfers=False, program_cache=False),
     "coalesced_on": {},
     "cache_off": dict(program_cache=False),
     "push_off": dict(push_transfers=False),
@@ -121,14 +101,14 @@ CONFIGS: Dict[str, Dict[str, object]] = {
 
 #: The configurations that run with the program build cache enabled —
 #: their daemon-side build counters must agree exactly (the same builds
-#: resolve through the same cache regardless of coalescing machinery).
-CACHED_CONFIGS = ("batched", "coalesced_off", "coalesced_on", "push_off")
+#: resolve through the same cache whether pushes run or not).
+CACHED_CONFIGS = ("coalesced_on", "push_off")
 
 #: The configurations that must never plan, execute, commit or waste a
 #: speculative push (client- and daemon-side counters all zero); every
 #: other configuration runs with ``push_transfers=True`` and is held to
 #: the push-counter algebra instead.
-PUSH_OFF_CONFIGS = ("sync", "batched", "push_off")
+PUSH_OFF_CONFIGS = ("sync", "push_off")
 
 #: Kernels the generator draws from: one pure producer, one
 #: read-modify-write, one two-input combiner (the shapes that exercise
@@ -1389,20 +1369,16 @@ def _check_stats_invariants(
     assert sync["flush_barriers"] == 0, f"{tag}: sync config recorded barriers"
     assert sync["prefix_flushes"] == 0, f"{tag}: sync config prefix-flushed"
     assert sync["relays_deferred"] == 0, f"{tag}: sync config deferred relays"
-    for name in ("sync", "batched", "coalesced_off"):
-        stats = outcomes[name]["stats"]
-        assert stats["coalesced_reads"] == 0, (
-            f"{tag}: {name} config fused result reads with coalesce_reads off"
-        )
-    for name in ("sync", "batched"):
-        stats = outcomes[name]["stats"]
-        for key in ("coalesced_uploads", "coalesced_downloads",
-                    "coalesced_peer_transfers"):
-            assert stats[key] == 0, f"{tag}: {name} config has {key} != 0"
+    # Sync-mode relays are the synchronous per-replica-server requests:
+    # nothing is ever suppressed.
+    assert sync["relays_suppressed"] == 0, f"{tag}: sync config suppressed relays"
+    for key in ("coalesced_reads", "coalesced_uploads", "coalesced_downloads",
+                "coalesced_peer_transfers"):
+        assert sync[key] == 0, f"{tag}: sync config has {key} != 0"
     # Build-cache structural invariants.  With the cache disabled no
     # counter may move on either side of the wire; with it enabled the
     # daemon aggregates are an exact function of the program's build
-    # keys, independent of every coalescing knob.
+    # keys, independent of the push knob.
     for name in ("sync", "cache_off"):
         stats = outcomes[name]["stats"]
         for key in ("build_cache_hits", "negative_build_hits"):
@@ -1479,7 +1455,9 @@ def _check_stats_invariants(
     # fusing fetches — observed at seed 307.  The deterministic
     # coalescing floors are gated by the smoke benchmark instead.)
     rt = {name: outcomes[name]["stats"]["round_trips"] for name in outcomes}
-    for name in ("batched", "coalesced_off", "coalesced_on", "cache_off", "push_off"):
+    for name in CONFIGS:
+        if name == "sync":
+            continue
         assert rt[name] < rt["sync"], (
             f"{tag}: {name} config did not beat the synchronous oracle ({rt})"
         )
@@ -1613,10 +1591,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"seed {seed}: ok ({summary['protocol']}, "
                 f"{summary['n_servers']} servers, {summary['n_ops']} ops; "
-                f"round trips sync={rt['sync']} batched={rt['batched']} "
-                f"coalesced_off={rt['coalesced_off']} "
-                f"coalesced_on={rt['coalesced_on']} cache_off={rt['cache_off']} "
-                f"push_off={rt['push_off']})"
+                "round trips "
+                + " ".join(f"{name}={rt[name]}" for name in CONFIGS)
+                + ")"
             )
     if failures:
         print(f"{failures}/{len(seeds)} seeds diverged")

@@ -397,7 +397,7 @@ class DOpenCLAPI:
         copy is invalid (then it downloads the whole object from the
         modified owner).  A blocking read that must download also
         gang-revalidates the sibling dirty buffers stranded on the same
-        daemon in one fused fetch (``coalesce_reads``), so back-to-back
+        daemon in one fused fetch (pipeline mode only), so back-to-back
         result reads cost one round trip per source daemon.
 
         A non-blocking read (with ``defer_reads`` on, the default) is a
@@ -452,7 +452,7 @@ class DOpenCLAPI:
                 self.clock.advance_to(ev.wait(self.clock.now))
         event = EventStub(queue.context, self.driver.new_id(), queue.server.name, CL_COMMAND_READ_BUFFER)
         self.driver._events[event.id] = event
-        # Read coalescing (coalesce_reads): when this blocking read must
+        # Read coalescing (pipeline mode): when this blocking read must
         # download its buffer, the sibling dirty buffers stranded on the
         # same daemon ride the same CoalescedBufferDownload fetch — the
         # next back-to-back result read finds its client copy already
@@ -463,7 +463,7 @@ class DOpenCLAPI:
         # a poisoned producer surfaces here and no directory records a
         # transfer that never happened.
         siblings: List[BufferStub] = []
-        if blocking and self.driver.coalesce_reads:
+        if blocking and self.driver.batching_enabled:
             source = buffer.planner.client_download_source()
             if source is not None:
                 siblings = self.driver.read_gang_candidates(buffer, source)
@@ -579,14 +579,14 @@ class DOpenCLAPI:
         (:class:`~repro.core.protocol.messages.
         CreateProgramWithSourceRequest`), costing no round trip of its
         own — the bytes travel in the batch the next sync point (usually
-        ``clBuildProgram``) sends anyway.  With ``defer_creations``
-        disabled the legacy bulk stream is used ("the implementation of
-        some OpenCL functions ... includes bulk data transfers", Section
-        III-B)."""
+        ``clBuildProgram``) sends anyway.  In the synchronous mode
+        (``batch_window=0``) the legacy bulk stream is used ("the
+        implementation of some OpenCL functions ... includes bulk data
+        transfers", Section III-B)."""
         self._tick()
         require(bool(source.strip()), ErrorCode.CL_INVALID_VALUE, "empty program source")
         program = ProgramStub(context, self.driver.new_id(), source)
-        if self.driver.creations_deferred:
+        if self.driver.batching_enabled:
             # Content-addressed creation (the client-stub cache): a
             # server this connection epoch already windowed a build of
             # this source to retains it in its daemon build cache, so

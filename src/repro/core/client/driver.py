@@ -31,32 +31,29 @@ Windows also flush before any synchronous request or bulk stream to the
 same daemon (which preserves per-daemon program order) and when they
 reach ``batch_window`` commands.
 
-PR 2 additions (see ``docs/architecture.md``): event-completion relays
-ride the send windows instead of round-tripping per replica server, and
-multiple coherence uploads to one daemon coalesce into a single bulk
-stream.
-
-PR 4 extends the coalescing to the remaining transfer directions
+The pipeline also coalesces every coherence transfer direction
 (:meth:`DOpenCLDriver.run_transfer_plans` via ``split_transfer_plan``):
-several coherence *downloads* from one daemon fuse into a single
-``CoalescedBufferDownload`` fetch, and several MOSI server-to-server
-hops along one (src, dst) daemon pair fuse into a single
-``BufferPeerTransferBatch`` round trip.  Targeted sync points also
-gained **prefix flushing**: they dispatch only the window prefix up to
-the awaited handles' producers (``SendWindow.split_prefix``), leaving
-causally unrelated commands queued behind them.
-
-PR 5 makes the window graph ``clFlush``-aware and coalesces *result
-reads*: ``clFlush`` records a **submission barrier** on its daemon's
-window (:meth:`DOpenCLDriver.mark_flush_barrier`) instead of
-force-dispatching it — prefix flushing then never reorders synchronous
-traffic across a flush (``SendWindow.barrier_floor``) — and a blocking
+several uploads to one daemon share one bulk stream, several downloads
+from one daemon fuse into a single ``CoalescedBufferDownload`` fetch,
+and several MOSI server-to-server hops along one (src, dst) pair fuse
+into a single ``BufferPeerTransferBatch`` round trip.  Event-completion
+relays ride the replica servers' windows (and are suppressed for events
+without replicas); targeted sync points dispatch only the window prefix
+up to the awaited handles' producers (``SendWindow.split_prefix``);
+``clFlush`` records a **submission barrier** instead of force-dispatching
+(:meth:`DOpenCLDriver.mark_flush_barrier`); and a blocking
 ``clEnqueueReadBuffer`` that must download its buffer gang-revalidates
 the sibling dirty buffers stranded on the same daemon
-(:meth:`DOpenCLDriver.read_gang_candidates`) in one
-``CoalescedBufferDownload`` fetch, so back-to-back result reads cost
-one round trip per source daemon (``coalesce_reads=False`` is the
-ablation flag).
+(:meth:`DOpenCLDriver.read_gang_candidates`) in one fetch.
+
+There are exactly two forwarding modes.  ``batch_window > 0`` (the
+default) runs the whole pipeline above; ``batch_window=0`` is the
+synchronous baseline and the differential-conformance oracle: every
+call is one round trip, creation calls fan out synchronously with
+eager error checks, completion relays are one synchronous request per
+replica server, and coherence plans execute one stream per transfer.
+``push_transfers``, ``defer_reads`` and ``program_cache`` are set
+independently of the mode.
 """
 
 from __future__ import annotations
@@ -167,11 +164,6 @@ class DOpenCLDriver:
         coherence_protocol: str = "msi",
         name: Optional[str] = None,
         batch_window: Optional[int] = DEFAULT_BATCH_WINDOW,
-        defer_event_relays: bool = True,
-        coalesce_uploads: bool = True,
-        defer_creations: bool = True,
-        coalesce_transfers: bool = True,
-        coalesce_reads: bool = True,
         push_transfers: bool = True,
         defer_reads: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
@@ -187,40 +179,12 @@ class DOpenCLDriver:
         self.devmgr_config_text = devmgr_config_text
         self.device_manager = device_manager
         self.coherence_protocol = coherence_protocol
-        #: Send-window size; 0/None disables batching (every call becomes
-        #: a synchronous round trip, the pre-pipeline behaviour).
+        #: Send-window size; 0/None selects the synchronous mode (every
+        #: call a round trip, the pre-pipeline behaviour — see the module
+        #: docstring for everything this one setting switches).
         self.batch_window = int(batch_window or 0)
-        #: When True (default) event-completion relays join the replica
-        #: servers' send windows instead of issuing one synchronous
-        #: request per replica server, and relays for events without
-        #: replicas are suppressed entirely.  False reproduces the PR-1
-        #: relay behaviour (the benchmark baseline).
-        self.defer_event_relays = bool(defer_event_relays)
-        #: When True (default) multiple coherence uploads to the same
-        #: daemon between sync points are merged into a single bulk
-        #: stream with one init header (see ``run_transfer_plans``).
-        self.coalesce_uploads = bool(coalesce_uploads)
-        #: When True (default) the *other* transfer directions coalesce
-        #: too: multiple downloads from one daemon merge into a single
-        #: ``CoalescedBufferDownload`` fetch, and multiple MOSI
-        #: server-to-server hops along one (src, dst) pair merge into a
-        #: single ``BufferPeerTransferBatch`` round trip.  False
-        #: restores one stream/request per transfer (the PR-3
-        #: behaviour, and the ablation baseline for the MOSI smoke
-        #: variant).
-        self.coalesce_transfers = bool(coalesce_transfers)
-        #: When True (default) blocking ``clEnqueueReadBuffer`` calls
-        #: coalesce their result gathers per source daemon: a read that
-        #: must download its buffer gang-revalidates the sibling dirty
-        #: buffers stranded on the same daemon in one
-        #: ``CoalescedBufferDownload`` fetch, so back-to-back result
-        #: reads cost one fetch round trip per daemon instead of one
-        #: per buffer (see :meth:`read_gang_candidates`).  False
-        #: restores one fetch per read — the ablation flag mirroring
-        #: ``coalesce_transfers``.
-        self.coalesce_reads = bool(coalesce_reads)
-        #: When True (default) the coherence layer is *push-capable*
-        #: (PR 9): kernel launches carry the
+        #: When True (default) the coherence layer is *push-capable*:
+        #: kernel launches carry the
         #: :class:`~repro.core.coherence.planner.TransferPlanner`'s push
         #: hints, the owning daemon streams predicted replicas at kernel
         #: completion (client-destined copies ride the completion
@@ -228,8 +192,8 @@ class DOpenCLDriver:
         #: points here *consume* staged pushes — validating the epoch —
         #: instead of orchestrating demand transfers.  False restores
         #: pure demand-driven coherence: no hints, no staging, byte- and
-        #: plan-identical to the pre-push directory (the ablation flag
-        #: mirroring ``coalesce_transfers``).
+        #: plan-identical to the pre-push directory (the byte oracle of
+        #: the planner-equivalence suite).
         self.push_transfers = bool(push_transfers)
         #: When True (default) non-blocking ``clEnqueueReadBuffer``
         #: calls are *deferred fetches*: the enqueue records a read-dep
@@ -268,13 +232,6 @@ class DOpenCLDriver:
         #: :class:`~repro.core.protocol.messages.PushCommit` a planned
         #: server-to-server leg converts them into.
         self._peer_commits: Dict[int, Tuple[int, str]] = {}
-        #: When True (default) creation calls are *handle promises*:
-        #: they join the send windows like any enqueue-class command and
-        #: daemon-side failures surface at the next sync point touching
-        #: that daemon.  False restores the synchronous fan-out (one
-        #: flush plus one request per server — the PR-1 baseline, with
-        #: errors checked eagerly at the call site).
-        self.defer_creations = bool(defer_creations)
         # Nesting depth of flush_connections' dispatch loop.  While > 0,
         # windows already swapped out (but not yet dispatched) are no
         # longer protected by in-window program order, so defer() must
@@ -501,17 +458,10 @@ class DOpenCLDriver:
 
     @property
     def batching_enabled(self) -> bool:
-        """Whether forwarded calls ride send windows (window size > 0)."""
+        """Whether the forwarding pipeline is on (window size > 0) — the
+        single gate for send windows, handle-promise creations, deferred
+        relays and transfer/read coalescing."""
         return self.batch_window > 0
-
-    @property
-    def creations_deferred(self) -> bool:
-        """Whether creation calls currently ride the send windows as
-        handle promises — the single gate consulted by
-        :meth:`forward_creation` and the API's program-source path, so
-        the deferral decision can never diverge between creation
-        types."""
-        return self.defer_creations and self.batching_enabled
 
     @property
     def stats(self):
@@ -974,7 +924,7 @@ class DOpenCLDriver:
         dependencies — a read whose ``wait_for`` names another pending
         read pulls that one into the same group — and the whole group
         resolves in enqueue order, fusing its downloads per source
-        daemon exactly like a blocking read's ``coalesce_reads`` gang.
+        daemon exactly like a blocking read's gang.
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
@@ -1074,18 +1024,9 @@ class DOpenCLDriver:
             for buffer in unique:
                 self._fetch_completions.pop(buffer.id, None)
                 buffer.planner.note_client_demand()
-            items = []
-            for buffer in unique:
-                plan = buffer.planner.acquire_read("client")
-                if plan:
-                    items.append((buffer, plan))
+            items = [(buffer, buffer.planner.acquire_read("client")) for buffer in unique]
             try:
-                if items:
-                    self.run_transfer_plans(
-                        items,
-                        preferred_queue=None,
-                        read_group=self.coalesce_reads and len(items) > 1,
-                    )
+                self.run_transfer_plans(items, read_group=True)
             except CLError as exc:
                 self._poison_deferred_group(live, exc)
                 raise
@@ -1367,9 +1308,8 @@ class DOpenCLDriver:
         separately as writing nothing.
 
         Falls back to the synchronous fan-out (eager error check at the
-        call site) when ``defer_creations`` or batching is disabled —
-        the PR-1 baseline behaviour."""
-        if self.creations_deferred:
+        call site) in the synchronous mode (``batch_window=0``)."""
+        if self.batching_enabled:
             self.fanout_deferred(servers, make_msg)
         else:
             self.fanout(servers, make_msg)
@@ -1394,7 +1334,7 @@ class DOpenCLDriver:
             owner = self._connections.get(stub.owner_server) if stub.owner_server else None
             if owner is not None and getattr(owner.daemon, "direct_event_broadcast", False):
                 return
-            if self.defer_event_relays and not stub.has_replicas:
+            if self.batching_enabled and not stub.has_replicas:
                 # No server holds a user-event replica of this event
                 # (transfer/read events are client-local): a relay would
                 # only earn an error Ack from every daemon.  Skip it.
@@ -1405,7 +1345,7 @@ class DOpenCLDriver:
             for conn in stub.context.unique_servers:
                 if conn.name == stub.owner_server or not conn.connected:
                     continue
-                if self.defer_event_relays:
+                if self.batching_enabled:
                     # The relay joins the replica server's send window:
                     # no round trip now, and program order puts it after
                     # the replica's (possibly still windowed)
@@ -1432,8 +1372,8 @@ class DOpenCLDriver:
                     )
                     self.stats.relays_deferred += 1
                     continue
-                # Legacy (PR-1) relay: flush so the replica exists, then
-                # one synchronous request per replica server.
+                # Synchronous-mode relay: flush so the replica exists,
+                # then one synchronous request per replica server.
                 self.flush_connection(conn, raise_errors=False)
                 self.gcf.request(
                     conn.daemon.gcf,
@@ -1517,7 +1457,7 @@ class DOpenCLDriver:
         return stub
 
     # ------------------------------------------------------------------
-    # daemon-initiated pushes (PR 9)
+    # daemon-initiated pushes
     # ------------------------------------------------------------------
     def note_kernel_write(self, buffer: BufferStub, party: str) -> None:
         """Record a kernel's whole-object write of ``buffer`` on
@@ -1718,10 +1658,10 @@ class DOpenCLDriver:
         (:meth:`~repro.core.coherence.planner.TransferPlanner.
         gang_candidate`): a sibling with write history the client never
         demand-reads is server-side working state, not a pending result
-        — revalidating it buys nothing.  The gate rides the ablation
-        flag because it is the access-pattern half of the PR-9
-        replication schedule: with pushes off the gang is computed
-        exactly as before the refactor (the planner-equivalence
+        — revalidating it buys nothing.  The gate rides
+        ``push_transfers`` because it is the access-pattern half of the
+        push replication schedule: with pushes off the gang is computed
+        exactly as the pure demand path would (the planner-equivalence
         property).  Released buffers are pruned from the context's
         registry on the way through."""
         context = buffer.context
@@ -1766,47 +1706,41 @@ class DOpenCLDriver:
           :class:`~repro.core.protocol.messages.CoalescedBufferUpload`
           stream (one init round trip, one raw stream).
 
-        ``coalesce_uploads=False`` restores per-buffer upload streams,
-        ``coalesce_transfers=False`` per-transfer downloads and peer
-        requests; with both off the pre-coalescing immediate-order
-        execution (the PR-1 baseline) is reproduced exactly.
+        The synchronous mode (``batch_window=0``) runs the
+        pre-coalescing immediate-order execution instead: one stream or
+        request per transfer, in plan order.
 
-        ``read_group=True`` marks the items as a blocking read's gang
-        (the read's own plan plus its
-        :meth:`read_gang_candidates`): download fusion then runs under
-        the ``coalesce_reads`` flag's authority even when
-        ``coalesce_transfers`` is off, and fused groups are counted in
-        ``NetStats.coalesced_reads`` / ``coalesced_read_sections`` on
-        top of the ordinary download counters."""
+        ``read_group=True`` marks the items as a read gang (a blocking
+        read's own plan plus its :meth:`read_gang_candidates`, or a
+        group of deferred reads): fused download groups are then also
+        counted in ``NetStats.coalesced_reads`` /
+        ``coalesced_read_sections``."""
         items = [(buffer, plan) for buffer, plan in items if plan]
         if not items:
             return
-        if not (self.coalesce_uploads or self.coalesce_transfers or read_group):
+        if not self.batching_enabled:
             for buffer, plan in items:
                 self._run_transfers_unmerged(buffer, plan, preferred_queue)
             return
         downloads, peers, uploads = split_transfer_plan(items)
         for server_name, buffers in downloads.items():
-            if (self.coalesce_transfers or read_group) and len(buffers) > 1:
+            if len(buffers) > 1:
                 if read_group:
                     self.stats.coalesced_reads += 1
                     self.stats.coalesced_read_sections += len(buffers)
                 self._download_many_from_server(buffers, server_name, preferred_queue)
             else:
-                for buffer in buffers:
-                    self._download_from_server(buffer, server_name, preferred_queue)
+                self._download_from_server(buffers[0], server_name, preferred_queue)
         for (src_name, dst_name), buffers in peers.items():
-            if self.coalesce_transfers and len(buffers) > 1:
+            if len(buffers) > 1:
                 self._peer_transfer_many(buffers, src_name, dst_name)
             else:
-                for buffer in buffers:
-                    self._server_to_server(buffer, src_name, dst_name)
+                self._server_to_server(buffers[0], src_name, dst_name)
         for server_name, buffers in uploads.items():
-            if self.coalesce_uploads and len(buffers) > 1:
+            if len(buffers) > 1:
                 self._upload_many_to_server(buffers, server_name, preferred_queue)
             else:
-                for buffer in buffers:
-                    self._upload_to_server(buffer, server_name, preferred_queue)
+                self._upload_to_server(buffers[0], server_name, preferred_queue)
 
     def _run_transfers_unmerged(
         self,

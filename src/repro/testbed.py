@@ -64,11 +64,6 @@ def deploy_dopencl(
     workload_scale: float = 1.0,
     n_clients: int = 1,
     batch_window: Optional[int] = None,
-    defer_event_relays: bool = True,
-    coalesce_uploads: bool = True,
-    defer_creations: bool = True,
-    coalesce_transfers: bool = True,
-    coalesce_reads: bool = True,
     push_transfers: bool = True,
     defer_reads: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
@@ -84,17 +79,14 @@ def deploy_dopencl(
     corresponding entry of ``devmgr_config_texts`` (paper Listing 3)
     instead of a server list.
 
-    ``batch_window`` tunes the drivers' asynchronous call-forwarding
-    window (``None`` keeps the driver default; ``0`` disables batching so
-    every forwarded call is a synchronous round trip).
-    ``defer_event_relays`` / ``coalesce_uploads`` / ``defer_creations`` /
-    ``coalesce_transfers`` / ``coalesce_reads`` toggle the pipeline
-    extensions (all default on; turning all off reproduces the PR-1
-    forwarding behaviour — the benchmark baseline: synchronous creation
-    fan-outs, synchronous relays, per-transfer streams in every
-    direction, one fetch per blocking read).  ``push_transfers`` toggles
-    daemon-initiated predictive replication (PR 9) on every driver;
-    ``False`` restores pure demand-driven coherence.  ``defer_reads``
+    ``batch_window`` selects the drivers' forwarding mode: ``None``
+    keeps the driver's default send-window size (the full asynchronous
+    pipeline); ``0`` is the synchronous baseline — every forwarded call
+    a round trip, synchronous creation fan-outs and completion relays,
+    per-transfer streams in every direction and one fetch per blocking
+    read.  ``push_transfers`` toggles daemon-initiated predictive
+    replication on every driver; ``False`` restores pure demand-driven
+    coherence.  ``defer_reads``
     toggles window-deferred non-blocking reads on every driver (on, the
     default, a ``blocking=False`` read records a deferred fetch that
     rides the next relevant flush; ``False`` is the streaming-bench
@@ -153,11 +145,6 @@ def deploy_dopencl(
         raise ValueError(f"cluster has only {len(client_hosts)} client hosts, need {n_clients}")
     for i, host in enumerate(client_hosts):
         kwargs = {
-            "defer_event_relays": defer_event_relays,
-            "coalesce_uploads": coalesce_uploads,
-            "defer_creations": defer_creations,
-            "coalesce_transfers": coalesce_transfers,
-            "coalesce_reads": coalesce_reads,
             "push_transfers": push_transfers,
             "defer_reads": defer_reads,
             "retry_policy": retry_policy,

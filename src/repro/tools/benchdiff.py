@@ -14,7 +14,11 @@ instead of rotting the perf floor.
 
 Round-trip and cache-hit counters are compared exactly by default; byte
 counters get a small relative tolerance (codec-level changes
-legitimately move a few header bytes).  Both directions are violations:
+legitimately move a few header bytes).  Every numeric snapshot key is
+either gated by a tolerance table or declared a workload parameter
+(:data:`PARAMETER_KEYS`, ``min_*``/``max_*`` acceptance floors); an
+unlisted key is itself a violation, so a retired key cannot linger in a
+snapshot and a new one cannot go ungated.  Both directions are violations:
 *worse* means a regression, *better* means the committed snapshot is
 stale and must be re-recorded
 (``PYTHONPATH=src python -m pytest benchmarks/bench_smoke.py
@@ -41,31 +45,32 @@ from repro.bench.harness import REPO_ROOT
 #: Compared keys -> relative tolerance.  Round trips are deterministic
 #: integers (exact); byte counts tolerate small codec-level drift.  The
 #: ``gather``/``mosi`` keys gate the download and peer-transfer
-#: coalescing floors (the gathered mini Fig. 4, coalescing on vs off)
-#: exactly like the upload keys always gated the plain workload; the
-#: ``readback`` keys gate the result-read coalescing floor the same way
-#: (the client-composed mini Fig. 4, ``coalesce_reads`` on vs off),
-#: together with the fused-group and ``clFlush``-barrier counters.
+#: coalescing floors (the gathered mini Fig. 4) exactly like the upload
+#: keys gate the plain workload; the ``readback`` keys gate the
+#: result-read coalescing floor the same way (the client-composed mini
+#: Fig. 4), together with the fused-group, ``clFlush``-barrier, relay
+#: and reply-cache counters.  ``rt_reduction`` derives from two exact
+#: counts; ``byte_reduction`` from two byte counts, whose ±2% each can
+#: move the ratio by up to ~12% relative.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "round_trips_sync": 0.0,
-    "round_trips_pr1": 0.0,
     "round_trips_batched": 0.0,
     "round_trips_gather": 0.0,
-    "round_trips_gather_uncoalesced": 0.0,
     "round_trips_mosi": 0.0,
-    "round_trips_mosi_uncoalesced": 0.0,
     "round_trips_readback": 0.0,
-    "round_trips_readback_uncoalesced": 0.0,
     "round_trips_readback_mosi": 0.0,
-    "round_trips_readback_mosi_uncoalesced": 0.0,
+    "rt_reduction": 0.0,
+    "relays_deferred": 0.0,
+    "relays_suppressed": 0.0,
+    "reply_cache_hits": 0.0,
     "coalesced_downloads": 0.0,
     "coalesced_peer_transfers": 0.0,
     "coalesced_reads": 0.0,
     "coalesced_read_sections": 0.0,
     "flush_barriers": 0.0,
     "bytes_sent_sync": 0.02,
-    "bytes_sent_pr1": 0.02,
     "bytes_sent_batched": 0.02,
+    "byte_reduction": 0.12,
 }
 
 #: OSEM-snapshot keys -> relative tolerance (``BENCH_osem.json``): the
@@ -77,6 +82,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 #: plus the commit/waste tally) — all exact properties of the
 #: deterministic simulation.
 OSEM_TOLERANCES: Dict[str, float] = {
+    "iteration_hit_ratio": 0.0,
     "setup_round_trips": 0.0,
     "setup_round_trips_cache_off": 0.0,
     "programs_built": 0.0,
@@ -135,6 +141,30 @@ STREAM_TOLERANCES: Dict[str, float] = {
     "deferred_read_batches": 0.0,
 }
 
+#: Numeric snapshot keys that describe the workload rather than measure
+#: it (sizes, counts, sweep points) — exempt from gating, together with
+#: every ``min_*``/``max_*`` acceptance floor (see :func:`is_parameter_key`).
+PARAMETER_KEYS = frozenset(
+    {
+        "n_servers",
+        "n_frames",
+        "frame_bytes",
+        "image_size",
+        "n_subsets",
+        "n_events",
+        "n_iterations",
+        "rounds",
+        "scales",
+    }
+)
+
+
+def is_parameter_key(key: str) -> bool:
+    """Whether ``key`` is a workload parameter or an acceptance floor
+    (``min_*``/``max_*``) rather than a measured value."""
+    return key in PARAMETER_KEYS or key.startswith(("min_", "max_"))
+
+
 COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_smoke.json")
 OSEM_COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_osem.json")
 MULTICLIENT_COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_multiclient.json")
@@ -161,9 +191,19 @@ def compare(
     more than ``tolerance * committed`` in *either* direction — higher
     is a perf regression, lower is a stale snapshot (see module
     docstring).  A compared key missing from either payload is itself a
-    violation: silently skipping it would let the floor rot."""
+    violation: silently skipping it would let the floor rot.  So is a
+    non-string committed key that is neither compared nor a declared
+    parameter (:func:`is_parameter_key`)."""
+    tolerances = tolerances or DEFAULT_TOLERANCES
     problems: List[str] = []
-    for key, tolerance in (tolerances or DEFAULT_TOLERANCES).items():
+    for key, value in committed.items():
+        if isinstance(value, str) or key in tolerances or is_parameter_key(key):
+            continue
+        problems.append(
+            f"{key}: committed in {snapshot} but gated by no tolerance "
+            "table (add a tolerance, declare it a parameter, or retire it)"
+        )
+    for key, tolerance in tolerances.items():
         if key not in committed:
             problems.append(
                 f"{key}: missing from committed {snapshot} (re-record it)"

@@ -181,9 +181,9 @@ def test_batching_saves_round_trips_and_enqueue_latency():
     assert enq_batched < 0.5 * enq_sync
     # End-to-end time is device-bound here (6 kernels back to back), so
     # batching must not cost more than the deferred launch hand-off plus
-    # the relay-drain pass at the finish.  (The unbatched baseline also
-    # benefits from relay suppression — legacy relays used to occupy the
-    # client NIC at future timestamps — so the bound is a few percent,
+    # the relay-drain pass at the finish.  (The synchronous baseline's
+    # relays are synchronous requests issued as completions arrive,
+    # overlapping the device-bound tail, so the bound is a few percent,
     # not fractions of one.)
     assert total_batched <= total_sync * 1.05
 

@@ -145,11 +145,13 @@ def _run_two_remote_inputs(protocol: str, coalesce: bool):
     """Two buffers are produced on server 1, then a kernel on server 0
     consumes both: validating them on s0 moves two buffers along the
     same route between sync points — MSI plans two s1->client downloads
-    plus two client->s0 uploads, MOSI two direct s1->s0 hops."""
+    plus two client->s0 uploads, MOSI two direct s1->s0 hops.
+    ``coalesce=False`` runs the synchronous mode (``batch_window=0``),
+    whose plans execute one stream or request per transfer."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2),
         coherence_protocol=protocol,
-        coalesce_transfers=coalesce,
+        batch_window=None if coalesce else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -218,8 +220,9 @@ def test_msi_coalescing_saves_round_trips_via_merged_downloads():
     assert sm.coalesced_downloads == 1
     assert sm.coalesced_download_sections == 2
     assert su.coalesced_downloads == 0
-    # One merged fetch replaces two: one bulk-fetch round trip saved.
-    assert sm.bulk_fetches == su.bulk_fetches - 1
+    # One merged fetch replaces two: the inputs' fetch plus the final
+    # result read are the pipeline run's only bulk fetches.
+    assert sm.bulk_fetches == 2
     assert sm.round_trips < su.round_trips
     assert sm.bytes_sent < su.bytes_sent
 
@@ -277,17 +280,18 @@ def test_rejected_coalesced_download_registers_nothing():
 
 
 # ----------------------------------------------------------------------
-# coalesced result reads (coalesce_reads)
+# coalesced result reads
 # ----------------------------------------------------------------------
-def _run_readback(protocol: str, coalesce_reads: bool):
+def _run_readback(protocol: str, coalesce: bool):
     """Produce two buffers on server 1 and one on server 0, finish, then
-    read all three back to back — the readback-tail shape: with
-    ``coalesce_reads`` on, the first read of a server-1 buffer
-    gang-revalidates the second onto the same fetch."""
+    read all three back to back — the readback-tail shape: on the
+    pipeline, the first read of a server-1 buffer gang-revalidates the
+    second onto the same fetch; ``coalesce=False`` runs the synchronous
+    mode (``batch_window=0``), one fetch per read."""
     deployment = deploy_dopencl(
         make_ib_cpu_cluster(2),
         coherence_protocol=protocol,
-        coalesce_reads=coalesce_reads,
+        batch_window=None if coalesce else 0,
     )
     api = deployment.api
     devices = api.clGetDeviceIDs(api.clGetPlatformIDs()[0])
@@ -329,7 +333,8 @@ def test_merged_reads_match_unmerged_byte_for_byte(protocol):
     sm, su = dep_m.driver.stats, dep_u.driver.stats
     assert sm.coalesced_reads == 1 and sm.coalesced_read_sections == 2
     assert su.coalesced_reads == 0
-    assert sm.bulk_fetches == su.bulk_fetches - 1
+    # The server-1 pair's fused fetch plus server 0's single fetch.
+    assert sm.bulk_fetches == 2
     assert sm.round_trips < su.round_trips
     assert sm.bytes_sent < su.bytes_sent
 

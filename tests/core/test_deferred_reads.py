@@ -6,7 +6,8 @@ here by a test that fails on the old code:
 1. **Stale reads** — ``blocking=False`` skipped the dependency-closure
    drain, so a read racing its producer kernel returned pre-write bytes.
    Now the enqueue records a read-dep on the buffer's writers and the
-   fetch rides the next relevant flush, under *every* flag combination.
+   fetch rides the next relevant flush, under *every* flag combination
+   and in both forwarding modes.
 2. **Eager fetch at enqueue** — the "non-blocking" read synchronously
    downloaded at enqueue.  Now the enqueue costs zero round trips, zero
    wire bytes and no virtual time beyond the call overhead, and the
@@ -21,10 +22,11 @@ here by a test that fails on the old code:
    the coherence machinery (and the wire) untouched.
 
 Plus the composition contracts: a PR-9 staged push satisfies a deferred
-read without any fetch round trip; ``coalesce_reads`` fuses a gang of
-deferred fetches into one resolution batch; a daemon lost under the
-deferred fetch poisons the event deterministically; releasing a buffer
-resolves its pending deferred read first.
+read without any fetch round trip; the pipeline fuses a gang of
+deferred fetches into one resolution batch (and the synchronous mode
+resolves the same reads unfused); a daemon lost under the deferred
+fetch poisons the event deterministically; releasing a buffer resolves
+its pending deferred read first.
 """
 
 import itertools
@@ -81,20 +83,21 @@ def _scaled_buffer(api, ctx, program, device, value=2.0, n=64):
 # bug 1: the stale-read hazard, under every flag combination
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "defer_reads,coalesce_reads,push_transfers",
+    "defer_reads,pipeline,push_transfers",
     list(itertools.product((True, False), repeat=3)),
 )
 def test_nonblocking_read_observes_its_producer(
-    defer_reads, coalesce_reads, push_transfers
+    defer_reads, pipeline, push_transfers
 ):
     """A non-blocking read enqueued right behind the (still windowed)
     kernel that writes the buffer must observe the post-kernel bytes —
     the read-dep on the buffer's writers drains the producer before the
     fetch.  The pre-PR path skipped the closure drain and returned the
-    stale host copy (all ones)."""
+    stale host copy (all ones).  ``pipeline=False`` runs the
+    synchronous mode (``batch_window=0``)."""
     deployment, api, devices, ctx, program = _deployment(
         defer_reads=defer_reads,
-        coalesce_reads=coalesce_reads,
+        batch_window=None if pipeline else 0,
         push_transfers=push_transfers,
     )
     queue, buf, _ = _scaled_buffer(api, ctx, program, devices[0])
@@ -247,13 +250,13 @@ def test_staged_push_satisfies_deferred_read_without_a_fetch():
     assert ev.completed_at == ev.completion_arrival  # the push's arrival
 
 
-def test_coalesce_reads_fuses_a_gang_of_deferred_fetches():
-    """Two deferred reads stranded on the same daemon resolve in one
-    batch whose downloads fuse exactly like a blocking read's gang."""
+def _two_deferred_reads(**kwargs):
+    """Two buffers scaled on one daemon (by 2 and 3), each read back
+    non-blocking, then one ``clFinish``; returns the driver, the two
+    caller-visible arrays and the two read events."""
     deployment, api, devices, ctx, program = _deployment(
-        coalesce_reads=True, push_transfers=False
+        push_transfers=False, **kwargs
     )
-    driver = deployment.driver
     queue, buf_a, _ = _scaled_buffer(api, ctx, program, devices[0], value=2.0)
     kernel = api.clCreateKernel(program, "scale")
     x = np.ones(64, dtype=np.float32)
@@ -262,15 +265,41 @@ def test_coalesce_reads_fuses_a_gang_of_deferred_fetches():
     api.clSetKernelArg(kernel, 1, np.float32(3.0))
     api.clSetKernelArg(kernel, 2, 64)
     api.clEnqueueNDRangeKernel(queue, kernel, (64,))
-    coalesced_before = driver.stats.coalesced_reads
-    data_a, _ = api.clEnqueueReadBuffer(queue, buf_a, blocking=False)
-    data_b, _ = api.clEnqueueReadBuffer(queue, buf_b, blocking=False)
+    data_a, ev_a = api.clEnqueueReadBuffer(queue, buf_a, blocking=False)
+    data_b, ev_b = api.clEnqueueReadBuffer(queue, buf_b, blocking=False)
     api.clFinish(queue)  # one full drain resolves both
+    return deployment.driver, data_a, data_b, ev_a, ev_b
+
+
+def test_pipeline_fuses_a_gang_of_deferred_fetches():
+    """Two deferred reads stranded on the same daemon resolve in one
+    batch whose downloads fuse exactly like a blocking read's gang."""
+    driver, data_a, data_b, _ev_a, _ev_b = _two_deferred_reads()
     np.testing.assert_allclose(data_a.view(np.float32), 2.0)
     np.testing.assert_allclose(data_b.view(np.float32), 3.0)
     assert driver.stats.deferred_reads == 2
     assert driver.stats.deferred_read_batches == 1
-    assert driver.stats.coalesced_reads > coalesced_before
+    assert driver.stats.coalesced_reads == 1
+    assert driver.stats.coalesced_read_sections == 2
+
+
+def test_sync_mode_defers_nonblocking_reads_unfused():
+    """In the synchronous mode (``batch_window=0``) a non-blocking read
+    is still a deferred fetch — recorded at enqueue, resolved at the
+    next sync point with real transfer timestamps — but the group's
+    downloads run one fetch per buffer, like every synchronous-mode
+    coherence plan."""
+    driver, data_a, data_b, ev_a, ev_b = _two_deferred_reads(batch_window=0)
+    np.testing.assert_allclose(data_a.view(np.float32), 2.0)
+    np.testing.assert_allclose(data_b.view(np.float32), 3.0)
+    assert ev_a.resolved and ev_b.resolved
+    assert ev_a.completion_arrival > ev_a.completed_at
+    assert driver.stats.batches == 0
+    assert driver.stats.deferred_reads == 2
+    assert driver.stats.deferred_read_batches == 1
+    assert driver.stats.coalesced_reads == 0
+    assert driver.stats.coalesced_downloads == 0
+    assert driver.stats.bulk_fetches == 2
 
 
 def test_daemon_loss_poisons_the_deferred_read_event():

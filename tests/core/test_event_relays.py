@@ -1,10 +1,11 @@
-"""Deferred event-completion relays (the PR-2 pipeline extension).
+"""Deferred event-completion relays.
 
 Covers: relays joining send windows instead of round-tripping, the
 create-before-status ordering guarantee (both the in-window ordering the
 deferral relies on and the hoisting the direct broadcast needs),
 suppression of relays for replica-less events, virtual-time causality of
-relayed completions, and the legacy (PR-1) fallback.
+relayed completions, and the synchronous-mode (``batch_window=0``)
+relays.
 """
 
 import numpy as np
@@ -150,8 +151,8 @@ def test_direct_broadcast_before_windowed_replica_create_is_buffered():
 
 def test_replica_less_events_do_not_relay():
     """Internal transfer/read events have no user-event replicas; their
-    completions must produce zero relay traffic (PR-1 used to send one
-    error-answered request per server)."""
+    completions must produce zero relay traffic (the synchronous mode
+    still sends one error-answered request per server)."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared()
     driver = deployment.driver
     api.clEnqueueNDRangeKernel(queue, kernel, (n,))
@@ -165,18 +166,29 @@ def test_replica_less_events_do_not_relay():
 
 
 def test_legacy_flag_restores_synchronous_relays():
-    """defer_event_relays=False reproduces the PR-1 behaviour: one
-    synchronous SetUserEventStatusRequest per replica server, nothing
-    deferred."""
+    """The synchronous mode (``batch_window=0``) relays the pre-pipeline
+    way: one synchronous SetUserEventStatusRequest per replica server,
+    nothing deferred and nothing suppressed."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(
-        n_servers=3, defer_event_relays=False
+        n_servers=3, batch_window=0
     )
     driver = deployment.driver
+    sent = []
+    request = driver.gcf.request
+
+    def spy(dst, msg, *args, **kwargs):
+        sent.append(type(msg).__name__)
+        return request(dst, msg, *args, **kwargs)
+
+    driver.gcf.request = spy
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
-    requests_before = driver.stats.requests
     api.clWaitForEvents([event])
     assert driver.stats.relays_deferred == 0
-    assert driver.stats.requests >= requests_before + 2  # sync relays went out
+    assert driver.stats.relays_suppressed == 0
+    # One synchronous relay per other server for each completion: the
+    # kernel's and its argument upload's transfer event (a replica-less
+    # event is relayed too — nothing is suppressed in this mode).
+    assert sent.count("SetUserEventStatusRequest") == 2 * 2
     for dev in devices[1:]:
         daemon = deployment.daemon_on(dev.server.name)
         replica = daemon.registry.get(driver.gcf.name, event.id, UserEvent)
@@ -227,4 +239,4 @@ def test_deferred_and_legacy_relays_agree_on_data():
         data, _ = api.clEnqueueReadBuffer(q1, buf)
         return data.view(np.float32)
 
-    np.testing.assert_array_equal(run(), run(defer_event_relays=False))
+    np.testing.assert_array_equal(run(), run(batch_window=0))

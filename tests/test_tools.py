@@ -1,4 +1,5 @@
-"""Operator-tool tests: clinfo (all three API flavours) and cachestat."""
+"""Operator-tool tests: clinfo (all three API flavours), cachestat and
+the benchdiff snapshot checker."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.ocl import ICDLoader, NativeAPI
 from repro.ocl.errors import CLError
 from repro.testbed import deploy_dopencl
 from repro.tools import cachestat_text, clinfo_text
+from repro.tools.benchdiff import DEFAULT_TOLERANCES, compare
 
 
 def test_clinfo_native():
@@ -135,3 +137,18 @@ def test_cachestat_reports_replica_residency_and_push_ratios():
     residency = replica_residency(deployment)
     assert sum(residency["client"].values()) == 1  # one live buffer
     assert sum(residency[daemon.name].values()) == 1
+
+
+def test_benchdiff_reports_ungated_snapshot_keys():
+    """A committed numeric key no tolerance table gates is a violation
+    (a retired key lingering, or a new one nobody compares), while
+    declared parameters and ``min_*``/``max_*`` floors are exempt."""
+    committed = {key: 100 for key in DEFAULT_TOLERANCES}
+    committed.update(
+        experiment="bench_smoke", n_servers=4, min_rt_reduction=0.4, max_batched_round_trips=48
+    )
+    assert compare(dict(committed), committed) == []
+    stale = dict(committed, round_trips_retired=36)
+    problems = compare(dict(stale), stale)
+    assert len(problems) == 1
+    assert "round_trips_retired" in problems[0] and "no tolerance" in problems[0]
