@@ -11,6 +11,19 @@ style:
 * ``return`` removes lanes for the rest of the function and accumulates
   the return value under the mask.
 
+Masked assignment goes through ``_rt.merge(_m, _mn, new, old)``, which
+skips the ``np.where`` when every lane is active.  Divergent loops run
+on their live lanes only: at the top of an iteration, once the condition
+has narrowed ``_m``, a loop whose popcount ``_mn`` is at most half the
+current width *compacts* (``_rt.compact``): it gathers the active lanes
+of every scalar local or parameter it references that is declared
+outside it, plus ``_ret``/``_retv``, and narrows the context's per-lane
+id arrays; the epilogue (``_rt.expand``) scatters them back to the entry
+width.  Lane order and popcounts are kept, so op accounting is exactly
+that of full-width execution.  Loops that reach ``barrier()``, directly
+or through a callee, never compact: the divergent-barrier check needs
+whole work-groups.
+
 The generated code is three-address style: every operation is a call into
 :mod:`repro.clc.vecrt`, which also charges the op-accounting used by the
 device cost model.  Deviations from C (documented): both arms of ``?:``
@@ -20,7 +33,7 @@ side effects inside them happen unconditionally.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.clc import cast as A
 from repro.clc.errors import CLCompileError
@@ -53,9 +66,37 @@ def _space_of(sym: Symbol) -> str:
     return sym.address_space
 
 
+def _walk(node: A.Node):
+    """``node`` and every AST node below it."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in vars(node).values():
+            if isinstance(child, A.Node):
+                stack.append(child)
+            elif isinstance(child, list):
+                stack.extend(c for c in child if isinstance(c, A.Node))
+
+
+def _barrier_functions(analyzed: AnalyzedProgram) -> Set[str]:
+    """Names of the functions that reach ``barrier()``, directly or
+    through a callee."""
+    found = {name for name, info in analyzed.functions.items() if info.calls_barrier}
+    grew = True
+    while grew:
+        grew = False
+        for name, info in analyzed.functions.items():
+            if name not in found and info.callees & found:
+                found.add(name)
+                grew = True
+    return found
+
+
 class FunctionCodegen:
-    def __init__(self, info: FunctionInfo) -> None:
+    def __init__(self, info: FunctionInfo, barrier_fns: Set[str]) -> None:
         self.info = info
+        self.barrier_fns = barrier_fns
         self.lines: List[str] = []
         self.indent = 1
         self._temp = 0
@@ -141,7 +182,7 @@ class FunctionCodegen:
         if isinstance(stmt, A.Return):
             if stmt.value is not None:
                 v = self.visit_expr(stmt.value)
-                self.emit(f"_retv = _rt.merge(_m, {v}, _retv)")
+                self.emit(f"_retv = _rt.merge(_m, _mn, {v}, _retv)")
             self.emit("_ret = _ret | _m")
             self.emit("_m = _np.zeros_like(_m)")
             self.emit("_mn = 0")
@@ -165,7 +206,7 @@ class FunctionCodegen:
         if decl.init is not None:
             v = self.visit_expr(decl.init)
             if self.diverged:
-                self.emit(f"{sym.slot} = _rt.merge(_m, {v}, _np.dtype('{sym.type.dtype}').type(0))")
+                self.emit(f"{sym.slot} = _rt.merge(_m, _mn, {v}, _np.dtype('{sym.type.dtype}').type(0))")
             else:
                 self.emit(f"{sym.slot} = {v}")
         else:
@@ -196,37 +237,84 @@ class FunctionCodegen:
             self.emit(f"_m = ({save} & _rt.not_({c}) & _rt.not_(_ret)) | {then_end}")
         self.fresh_mask_count()
 
-    def _loop_prologue(self) -> tuple:
+    def _loop_prologue(self, stmt: A.Stmt) -> tuple:
         k = self.label()
-        save, cnt = f"_msv{k}", f"_mcn{k}"
+        save, cnt, cz = f"_msv{k}", f"_mcn{k}", f"_cz{k}"
         self.emit(f"{save} = _m")
+        values = self._compacted_values(stmt)
+        if values:
+            self.emit(f"{cz} = None")
         self.diverged = True
         self.emit("while True:")
         self.indent += 1
         self.emit("if not _mn: break")
-        return save, cnt
+        return save, cnt, cz, values
 
-    def _loop_epilogue(self, save: str) -> None:
+    def _compacted_values(self, stmt: A.Stmt) -> List[tuple]:
+        """``(name, dtype)`` of the values a compacting loop gathers:
+        every scalar local or parameter it references that is declared
+        outside it, then ``_ret``/``_retv``.  Empty when the loop reaches
+        a barrier, which needs whole work-groups."""
+        parts = [stmt.cond, stmt.body, getattr(stmt, "step", None)]
+        refs: Dict[str, Symbol] = {}
+        inner = set()
+        for node in (n for part in parts if part is not None for n in _walk(part)):
+            if isinstance(node, A.VarRef):
+                refs[node.symbol.slot] = node.symbol
+            elif isinstance(node, A.VarDecl):
+                inner.add(node.symbol.slot)
+            elif isinstance(node, A.Call) and (
+                (node.builtin is not None and node.builtin.kind == "barrier")
+                or (node.func is not None and node.func.name in self.barrier_fns)
+            ):
+                return []
+        values = [
+            (slot, sym.type.dtype)
+            for slot, sym in sorted(refs.items())
+            if slot not in inner and isinstance(sym.type, ScalarType)
+        ]
+        values.append(("_ret", "bool"))
+        if not isinstance(self.info.return_type, VoidType):
+            values.append(("_retv", self.info.return_type.dtype))
+        return values
+
+    def _compact_point(self, cz: str, values: List[tuple]) -> None:
+        """Top of an iteration, once the condition has narrowed ``_m``:
+        compact when at most half of the current lanes are active."""
+        if not values:
+            return
+        names = ", ".join(name for name, _ in values)
+        dtypes = ", ".join(f"'{dtype}'" for _, dtype in values)
+        self.emit("if _mn * 2 <= len(_m):")
+        self.emit(f"    {cz}, _m, {names} = _rt.compact(_ctx, {cz}, _m, ({dtypes},), {names})")
+
+    def _loop_epilogue(self, save: str, cz: str, values: List[tuple]) -> None:
         self.indent -= 1
+        if values:
+            names = ", ".join(name for name, _ in values)
+            self.emit(f"if {cz} is not None:")
+            self.emit(f"    {names}, = _rt.expand(_ctx, {cz}, {names})")
         self.emit(f"_m = {save} & _rt.not_(_ret)")
         self.fresh_mask_count()
 
     def visit_while(self, stmt: A.While) -> None:
-        save, cnt = self._loop_prologue()
+        save, cnt, cz, values = self._loop_prologue(stmt)
         c = self.visit_expr(stmt.cond)
         self.emit(f"_m = _m & {c}")
         self.fresh_mask_count()
         self.emit("if not _mn: break")
+        self._compact_point(cz, values)
         self.emit(f"{cnt} = _np.zeros_like(_m)")
         self.loop_stack.append(cnt)
         self.visit_block(stmt.body)
         self.loop_stack.pop()
         self.emit(f"_m = _m | {cnt}")
         self.fresh_mask_count()
-        self._loop_epilogue(save)
+        self._loop_epilogue(save, cz, values)
 
     def visit_do_while(self, stmt: A.DoWhile) -> None:
-        save, cnt = self._loop_prologue()
+        save, cnt, cz, values = self._loop_prologue(stmt)
+        self._compact_point(cz, values)
         self.emit(f"{cnt} = _np.zeros_like(_m)")
         self.loop_stack.append(cnt)
         self.visit_block(stmt.body)
@@ -236,17 +324,18 @@ class FunctionCodegen:
         c = self.visit_expr(stmt.cond)
         self.emit(f"_m = _m & {c}")
         self.fresh_mask_count()
-        self._loop_epilogue(save)
+        self._loop_epilogue(save, cz, values)
 
     def visit_for(self, stmt: A.For) -> None:
         if stmt.init is not None:
             self.visit_stmt(stmt.init)
-        save, cnt = self._loop_prologue()
+        save, cnt, cz, values = self._loop_prologue(stmt)
         if stmt.cond is not None:
             c = self.visit_expr(stmt.cond)
             self.emit(f"_m = _m & {c}")
             self.fresh_mask_count()
             self.emit("if not _mn: break")
+        self._compact_point(cz, values)
         self.emit(f"{cnt} = _np.zeros_like(_m)")
         self.loop_stack.append(cnt)
         self.visit_block(stmt.body)
@@ -258,7 +347,7 @@ class FunctionCodegen:
             self.indent += 1
             self.visit_expr(stmt.step)
             self.indent -= 1
-        self._loop_epilogue(save)
+        self._loop_epilogue(save, cz, values)
 
     # -- expressions ---------------------------------------------------------
     def visit_expr(self, expr: A.Expr) -> str:
@@ -367,7 +456,7 @@ class FunctionCodegen:
     # -- assignment ------------------------------------------------------------
     def _store_var(self, sym: Symbol, value_ref: str) -> None:
         if self.diverged:
-            self.emit(f"{sym.slot} = _rt.merge(_m, {value_ref}, {sym.slot})")
+            self.emit(f"{sym.slot} = _rt.merge(_m, _mn, {value_ref}, {sym.slot})")
         else:
             self.emit(f"{sym.slot} = {value_ref}")
 
@@ -518,8 +607,9 @@ from repro.clc import vecrt as _rt
 def generate_module(analyzed: AnalyzedProgram) -> str:
     """Generate the Python module source for an analyzed program."""
     parts = [MODULE_PRELUDE]
+    barrier_fns = _barrier_functions(analyzed)
     for info in analyzed.functions.values():
-        parts.append(FunctionCodegen(info).generate())
+        parts.append(FunctionCodegen(info, barrier_fns).generate())
         parts.append("")
     return "\n".join(parts)
 

@@ -195,6 +195,24 @@ class ExecContext:
             return np.uint64(0)
         return np.uint64(self.nd.global_offset[d])
 
+    # -- lane compaction ------------------------------------------------------
+    def narrow(self, sel: np.ndarray) -> tuple:
+        """Restrict the per-lane arrays (work-item ids, ``lane_ids``,
+        ``group_ordinal``) to the lanes ``sel`` of the current width and
+        return the previous arrays for :meth:`restore`.  ``lanes`` keeps
+        the chunk width: private-array rows stay indexed by original lane."""
+        saved = (self._global_ids, self._local_ids, self._group_ids, self.lane_ids, self.group_ordinal)
+        self._global_ids = [a[sel] for a in self._global_ids]
+        self._local_ids = [a[sel] for a in self._local_ids]
+        self._group_ids = [a[sel] for a in self._group_ids]
+        self.lane_ids = self.lane_ids[sel]
+        self.group_ordinal = self.group_ordinal[sel]
+        return saved
+
+    def restore(self, saved: tuple) -> None:
+        """Undo :meth:`narrow` (and any narrowing stacked after it)."""
+        self._global_ids, self._local_ids, self._group_ids, self.lane_ids, self.group_ordinal = saved
+
     # -- local memory -------------------------------------------------------
     def local_array(self, slot: str, dtype: str, size: int) -> np.ndarray:
         arr = self._local_arrays.get(slot)

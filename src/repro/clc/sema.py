@@ -56,6 +56,7 @@ class FunctionInfo:
     arrays: List[Symbol] = field(default_factory=list)  # declared local/private arrays
     is_kernel: bool = False
     callees: Set[str] = field(default_factory=set)
+    calls_barrier: bool = False  # calls barrier() itself (callees aside)
 
     @property
     def arg_kinds(self) -> List[str]:
@@ -553,6 +554,8 @@ class SemanticAnalyzer:
                         raise CLCompileError(
                             f"{expr.name}: argument {i + 1} must be {want}", expr.line, expr.col
                         )
+            if builtin.kind == "barrier" and self._current is not None:
+                self._current.calls_barrier = True
             expr.builtin = builtin  # type: ignore[attr-defined]
             expr.func = None  # type: ignore[attr-defined]
             expr.convert_type = None  # type: ignore[attr-defined]

@@ -5,9 +5,10 @@ that calls these helpers.  Every helper that represents kernel work takes
 the execution context and the active lane count and charges the op
 accounting used by the device cost model.
 
-Conventions: ``m`` is the active-lane mask (bool ndarray of shape
-``(lanes,)``), ``mn`` its popcount; values are NumPy scalars (uniform) or
-arrays of shape ``(lanes,)``.
+Conventions: ``m`` is the active-lane mask (a bool ndarray as wide as
+the current lane set: the chunk, or the live lanes of a compacted loop),
+``mn`` its popcount; values are NumPy scalars (uniform) or arrays as
+wide as ``m``.
 """
 
 from __future__ import annotations
@@ -34,14 +35,76 @@ def not_(c: Any) -> Any:
     return np.logical_not(c)
 
 
-def merge(m: np.ndarray, new: Any, old: Any) -> np.ndarray:
-    """Masked assignment: new where active, old elsewhere."""
+def merge(m: np.ndarray, mn: int, new: Any, old: Any) -> np.ndarray:
+    """Masked assignment: new where active, old elsewhere.
+
+    With every lane active and ``new`` already a full-width array of the
+    variable's dtype, ``new`` is the result as is (values are never
+    mutated in place, so sharing the array is safe)."""
+    if mn == len(m) and isinstance(new, np.ndarray) and new.shape == m.shape and new.dtype == old.dtype:
+        return new
     return np.where(m, new, old)
 
 
-def default(ctx, dtype: str) -> Any:
-    """Zero value used for declarations under a partial mask."""
-    return np.zeros(ctx.lanes, dtype=np.dtype(dtype))
+# -- lane compaction ---------------------------------------------------------
+class Compaction:
+    """One compacted loop: the context state and values at loop entry,
+    the selected lanes (indices into the entry width) and the narrowed
+    values as last gathered."""
+
+    __slots__ = ("saved", "width", "sel", "dtypes", "full", "gathered")
+
+    def __init__(self, saved, width: int, sel: np.ndarray, dtypes, full) -> None:
+        self.saved = saved
+        self.width = width
+        self.sel = sel
+        self.dtypes = dtypes
+        self.full = full
+        self.gathered = full
+
+    def scatter(self, vals) -> tuple:
+        """Entry-width values with the narrowed ``vals`` written back;
+        values unchanged since the last gather are returned as they were."""
+        return tuple(
+            f if v is g else _scatter(f, self.sel, v, self.width, dt)
+            for f, g, v, dt in zip(self.full, self.gathered, vals, self.dtypes)
+        )
+
+
+def _scatter(full: Any, sel: np.ndarray, val: Any, width: int, dtype: str) -> np.ndarray:
+    if isinstance(full, np.ndarray) and full.ndim:
+        out = full.copy()
+    else:
+        out = np.full(width, full, dtype=np.dtype(dtype))
+    out[sel] = val
+    return out
+
+
+def compact(ctx, cz, m: np.ndarray, dtypes: tuple, *vals) -> tuple:
+    """Run the rest of a loop on the active lanes of ``m`` only.
+
+    Gathers every varying value of ``vals`` (uniform 0-d values pass
+    through) and narrows the context's per-lane arrays; a loop that is
+    already compacted writes its values back to the entry-width copies
+    first and composes the selection.  Lane order and the popcount are
+    preserved, so op accounting is unchanged.  Returns the compaction
+    state, the narrowed (all-true) mask and the narrowed values."""
+    local = np.flatnonzero(m)
+    if cz is None:
+        cz = Compaction(ctx.narrow(local), len(m), local, dtypes, vals)
+    else:
+        cz.full = cz.scatter(vals)
+        cz.sel = cz.sel[local]
+        ctx.narrow(local)
+    cz.gathered = tuple(v[local] if isinstance(v, np.ndarray) and v.ndim else v for v in vals)
+    return (cz, np.ones(len(local), dtype=bool)) + cz.gathered
+
+
+def expand(ctx, cz: Compaction, *vals) -> tuple:
+    """Leave a compacted loop: restore the context's per-lane arrays and
+    scatter ``vals`` back to the entry width."""
+    ctx.restore(cz.saved)
+    return cz.scatter(vals)
 
 
 def cast(ctx, mn: int, val: Any, dtype: str) -> Any:

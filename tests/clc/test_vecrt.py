@@ -33,8 +33,18 @@ def test_ops_charged_per_active_lane(ctx):
 
 def test_merge_broadcasts_scalars():
     m = np.array([True, False, True])
-    out = rt.merge(m, np.int32(7), np.int32(1))
+    out = rt.merge(m, 2, np.int32(7), np.int32(1))
     np.testing.assert_array_equal(out, [7, 1, 7])
+
+
+def test_merge_all_active_returns_new_when_types_match():
+    m = np.ones(4, dtype=bool)
+    new = np.arange(4, dtype=np.int32)
+    assert rt.merge(m, 4, new, np.int32(9)) is new
+    # a dtype change or a uniform value still goes through np.where
+    promoted = rt.merge(m, 4, new, np.int64(9))
+    assert promoted is not new and promoted.dtype == np.int64
+    np.testing.assert_array_equal(rt.merge(m, 4, np.int32(5), np.int32(9)), [5, 5, 5, 5])
 
 
 @given(
