@@ -76,6 +76,7 @@ import numpy as np
 
 from repro.core.client.resilience import RetryPolicy
 from repro.hw.cluster import make_ib_cpu_cluster
+from repro.net.gcf import NetStats
 from repro.ocl.constants import (
     CL_MEM_COPY_HOST_PTR,
     CL_MEM_READ_WRITE,
@@ -626,23 +627,20 @@ def run_program(spec: Dict[str, object], flags: Dict[str, object]) -> Dict[str, 
 def _daemon_push_stats(deployment) -> Dict[str, int]:
     """Deployment-aggregate push-execution counters (summed over
     daemons) — the daemon side of the push-counter algebra."""
-    daemons = deployment.daemons
-    return {
-        "daemon_pushes": sum(d.gcf.stats.daemon_pushes for d in daemons),
-        "push_bytes": sum(d.gcf.stats.push_bytes for d in daemons),
-    }
+    totals = NetStats.total(d.gcf.stats for d in deployment.daemons)
+    return {"daemon_pushes": totals.daemon_pushes, "push_bytes": totals.push_bytes}
 
 
 def _daemon_build_stats(deployment) -> Dict[str, object]:
     """Deployment-aggregate build-cache counters (summed over daemons)
     — the structural observables of the content-addressed cache."""
-    daemons = deployment.daemons
+    totals = NetStats.total(d.gcf.stats for d in deployment.daemons)
     return {
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "negative_build_hits": sum(d.gcf.stats.negative_build_hits for d in daemons),
-        "binaries_shipped": sum(d.gcf.stats.binaries_shipped for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
+        "programs_built": totals.programs_built,
+        "build_cache_hits": totals.build_cache_hits,
+        "negative_build_hits": totals.negative_build_hits,
+        "binaries_shipped": totals.binaries_shipped,
+        "build_seconds_saved": totals.build_seconds_saved,
     }
 
 

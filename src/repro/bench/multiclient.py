@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.bench.harness import REPO_ROOT, ExperimentRecord
 from repro.hw.cluster import make_multi_client_gpu_server
+from repro.net.gcf import NetStats
 from repro.ocl.constants import CL_DEVICE_TYPE_GPU, CL_MEM_WRITE_ONLY
 from repro.testbed import deploy_dopencl
 
@@ -136,7 +137,7 @@ def _run_scale(n_clients: int) -> Dict[str, object]:
         group_makespans[group] = max(group_makespans.get(group, 0.0), makespan)
     launches = n_clients * ROUNDS
     makespan_max, makespan_min = max(makespans), min(makespans)
-    daemons = deployment.daemons
+    totals = NetStats.total(d.gcf.stats for d in deployment.daemons)
     return {
         "n_clients": n_clients,
         "launches": launches,
@@ -145,16 +146,14 @@ def _run_scale(n_clients: int) -> Dict[str, object]:
         "fairness_ratio": max(group_makespans.values()) / min(group_makespans.values()),
         "throughput": launches / makespan_max,
         "p99_sync_latency": p99(latencies),
-        "decode_cache_hits": sum(d.gcf.stats.decode_cache_hits for d in daemons),
-        "reply_cache_hits": sum(d.gcf.stats.reply_cache_hits for d in daemons),
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
-        "dropped_event_statuses": sum(
-            d.gcf.stats.dropped_event_statuses for d in daemons
-        ),
-        "refused_connections": sum(d.gcf.stats.refused_connections for d in daemons),
-        "quota_rejections": sum(d.gcf.stats.quota_rejections for d in daemons),
+        "decode_cache_hits": totals.decode_cache_hits,
+        "reply_cache_hits": totals.reply_cache_hits,
+        "programs_built": totals.programs_built,
+        "build_cache_hits": totals.build_cache_hits,
+        "build_seconds_saved": totals.build_seconds_saved,
+        "dropped_event_statuses": totals.dropped_event_statuses,
+        "refused_connections": totals.refused_connections,
+        "quota_rejections": totals.quota_rejections,
     }
 
 

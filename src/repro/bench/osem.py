@@ -27,6 +27,7 @@ from typing import Optional
 from repro.apps.osem import ListModeOSEM, disk_phantom, generate_events
 from repro.bench.harness import REPO_ROOT, ExperimentRecord
 from repro.hw.cluster import make_desktop_and_gpu_server, make_ib_cpu_cluster
+from repro.net.gcf import NetStats
 from repro.ocl.constants import CL_DEVICE_TYPE_GPU
 from repro.testbed import deploy_dopencl
 
@@ -112,12 +113,12 @@ def _cluster_repeat_setup() -> dict:
         program = api.clCreateProgramWithSource(ctx, CLUSTER_SOURCE)
         api.clBuildProgram(program)
         api.clFinish(queue)
-    daemons = deployment.daemons
+    totals = NetStats.total(d.gcf.stats for d in deployment.daemons)
     return {
-        "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
-        "binaries_shipped": sum(d.gcf.stats.binaries_shipped for d in daemons),
-        "build_cache_hits": sum(d.gcf.stats.build_cache_hits for d in daemons),
-        "build_seconds_saved": sum(d.gcf.stats.build_seconds_saved for d in daemons),
+        "programs_built": totals.programs_built,
+        "binaries_shipped": totals.binaries_shipped,
+        "build_cache_hits": totals.build_cache_hits,
+        "build_seconds_saved": totals.build_seconds_saved,
     }
 
 
@@ -163,13 +164,14 @@ def bench_osem() -> ExperimentRecord:
     events = generate_events(disk_phantom(OSEM_IMAGE_SIZE), OSEM_EVENTS, seed=7)
 
     def counters():
+        totals = NetStats.total(d.gcf.stats for d in daemons)
         return {
             "round_trips": driver.stats.round_trips,
             "batched_commands": driver.stats.batched_commands,
-            "reply_cache_hits": sum(d.gcf.stats.reply_cache_hits for d in daemons),
-            "decode_cache_hits": sum(d.gcf.stats.decode_cache_hits for d in daemons),
+            "reply_cache_hits": totals.reply_cache_hits,
+            "decode_cache_hits": totals.decode_cache_hits,
             "bytes_sent": driver.stats.bytes_sent,
-            "programs_built": sum(d.gcf.stats.programs_built for d in daemons),
+            "programs_built": totals.programs_built,
         }
 
     def add_row(phase: str, before, after) -> None:
@@ -191,11 +193,12 @@ def bench_osem() -> ExperimentRecord:
     # Push-protocol verdict for the whole run (counters are cumulative,
     # so they are read once after the last iteration): the client's
     # hint/commit/waste tally plus the daemons' aggregate executions.
+    totals = NetStats.total(d.gcf.stats for d in daemons)
     record.add(
         phase="push_counters",
         speculative_pushes=driver.stats.speculative_pushes,
-        daemon_pushes=sum(d.gcf.stats.daemon_pushes for d in daemons),
-        push_bytes=sum(d.gcf.stats.push_bytes for d in daemons),
+        daemon_pushes=totals.daemon_pushes,
+        push_bytes=totals.push_bytes,
         push_commits=driver.stats.push_commits,
         wasted_pushes=driver.stats.wasted_pushes,
     )

@@ -52,6 +52,7 @@ import numpy as np
 from repro.apps.mandelbrot import MANDELBROT_KERNEL, MandelbrotConfig, render_dopencl
 from repro.bench.harness import REPO_ROOT, ExperimentRecord
 from repro.hw.cluster import make_ib_cpu_cluster
+from repro.net.gcf import NetStats
 from repro.ocl.constants import CL_MEM_WRITE_ONLY
 from repro.testbed import deploy_dopencl
 
@@ -287,7 +288,9 @@ def bench_smoke(n_devices: int = SMOKE_DEVICES, config: MandelbrotConfig = SMOKE
             images[variant] = render(deployment.api, config)
             totals[variant] = deployment.api.now
         counters[variant] = deployment.driver.stats.snapshot()
-        daemon_hits[variant] = sum(d.gcf.stats.reply_cache_hits for d in deployment.daemons)
+        daemon_hits[variant] = NetStats.total(
+            d.gcf.stats for d in deployment.daemons
+        ).reply_cache_hits
     sync = counters["sync"]
     for variant, _flags, _render in runs:
         c = counters[variant]

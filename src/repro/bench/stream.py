@@ -7,17 +7,17 @@ alternate (classic double buffering): while the daemon computes frame
 ``i`` into one buffer, the client reads frame ``i - 1`` back out of the
 other.  Three cells:
 
-* ``pipelined`` — ``defer_reads=True`` (the default pipeline): each
-  frame's readback is a non-blocking ``clEnqueueReadBuffer`` whose
-  deferred fetch rides the next ``clFinish``'s window flush, so the
-  transfer overlaps the *next* frame's kernel in virtual time.  The
+* ``pipelined`` — each frame's readback is a non-blocking
+  ``clEnqueueReadBuffer`` whose deferred fetch rides the next
+  ``clFinish``'s window flush, so the transfer overlaps the *next*
+  frame's kernel in virtual time.  The
   steady-state frame period collapses to ``max(C_i, T)`` — and the
   workload is sized compute-bound (``T < C_i`` for every steady
   frame), so the readback vanishes entirely under the kernel.
-* ``serial`` — ``defer_reads=False``: the identical program, but the
-  ablated driver fetches eagerly at enqueue time.  The client stalls
-  for the transfer *before* the flush dispatches the next kernel, so
-  every frame pays ``C_i + T`` — the serial sum the broken
+* ``serial`` — the identical program, but every readback is a
+  ``blocking=True`` read, which fetches at enqueue time.  The client
+  stalls for the transfer *before* the flush dispatches the next
+  kernel, so every frame pays ``C_i + T`` — the serial sum the broken
   non-blocking read path used to force.
 * ``compute_only`` — the same zoom with no readbacks at all: the
   per-frame kernel cost ``C_i`` the other two cells are decomposed
@@ -37,11 +37,11 @@ reference, and the deferred-read counters must prove the mechanism
 (``pipelined`` deferred every frame and resolved each on a flush;
 ``serial`` deferred none).
 
-The cells pin ``push_transfers=False``: a daemon-initiated predictive
-push would satisfy the deferred read without any fetch (that
-composition has its own tests and bench), and here it would blur the
-single-variable ablation — ``pipelined`` vs ``serial`` must differ in
-*when the client fetches*, nothing else.
+All cells run the default driver with ``push_transfers=False``: a
+daemon-initiated predictive push would satisfy the deferred read
+without any fetch (that composition has its own tests and bench), and
+here it would blur the single-variable comparison — ``pipelined`` vs
+``serial`` must differ in *when the client fetches*, nothing else.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ STREAM_FRAMES = 12
 #: Gigabit testbed: the per-frame readback (~2.2 ms for a 192 KiB
 #: frame) stays below the cheapest frame's kernel (~3 ms), so a
 #: correctly overlapped pipeline hides the transfer completely while
-#: the eager ablation pays it in full — the widest honest gap between
+#: the blocking-read cell pays it in full — the widest honest gap between
 #: the two cells.
 STREAM_CONFIG = MandelbrotConfig(width=256, height=192, max_iter=400)
 
@@ -91,13 +91,14 @@ MAX_BOUND_ERROR = 0.10
 #: requires the overlap to be *substantial*, not merely nonzero.
 MAX_PIPELINED_RATIO = 0.85
 
-#: Cell flags.  ``serial`` is the ablation ISSUE 10 demands: the same
-#: double-buffered program under the eager-fetch driver.  Pushes are
-#: off in every cell (single-variable ablation; see module docstring).
+#: Cell readback modes (:func:`stream_zoom` arguments).  ``serial`` is
+#: the same double-buffered program with blocking reads, which fetch at
+#: enqueue.  Every cell runs the same driver, pushes off (see the module
+#: docstring).
 VARIANTS = {
-    "pipelined": dict(defer_reads=True, push_transfers=False),
-    "serial": dict(defer_reads=False, push_transfers=False),
-    "compute_only": dict(defer_reads=True, push_transfers=False),
+    "pipelined": dict(readback=True, blocking=False),
+    "serial": dict(readback=True, blocking=True),
+    "compute_only": dict(readback=False, blocking=False),
 }
 
 
@@ -125,15 +126,17 @@ def stream_zoom(
     n_frames: int = STREAM_FRAMES,
     base: MandelbrotConfig = STREAM_CONFIG,
     readback: bool = True,
+    blocking: bool = False,
 ) -> Dict[str, object]:
     """Run the double-buffered zoom and return frames plus timing marks.
 
     Per frame ``i``: launch the kernel for frame ``i`` into buffer
-    ``i % 2`` on the compute queue, enqueue a *non-blocking* read of
-    frame ``i - 1`` from the other buffer on a dedicated read queue,
-    then ``clFinish`` the compute queue.  The finish's window flush
-    dispatches kernel ``i`` and (under ``defer_reads``) resolves the
-    deferred fetch of frame ``i - 1`` — transfer and compute overlap.
+    ``i % 2`` on the compute queue, enqueue a read of frame ``i - 1``
+    from the other buffer on a dedicated read queue, then ``clFinish``
+    the compute queue.  With non-blocking reads the finish's window
+    flush dispatches kernel ``i`` and resolves the deferred fetch of
+    frame ``i - 1`` — transfer and compute overlap; a ``blocking`` read
+    fetches before the finish and serialises them.
     The read rides its own queue because an in-order queue would
     (correctly) serialise the read behind kernel ``i``; two queues is
     how real OpenCL double-buffers too.
@@ -177,13 +180,13 @@ def stream_zoom(
         cl.clEnqueueNDRangeKernel(compute_q, kernel, (cfg.width, cfg.height))
         if readback and i > 0:
             outs[i - 1], read_events[i - 1] = cl.clEnqueueReadBuffer(
-                read_q, bufs[(i - 1) % 2], blocking=False
+                read_q, bufs[(i - 1) % 2], blocking=blocking
             )
         cl.clFinish(compute_q)
         marks.append(cl.now)
     if readback:
         outs[n_frames - 1], read_events[n_frames - 1] = cl.clEnqueueReadBuffer(
-            read_q, bufs[(n_frames - 1) % 2], blocking=False
+            read_q, bufs[(n_frames - 1) % 2], blocking=blocking
         )
         cl.clWaitForEvents([read_events[n_frames - 1]])
         # Earlier frames' fetches already resolved at the finishes; the
@@ -238,13 +241,11 @@ def bench_stream(
         ),
     )
     runs: Dict[str, Dict[str, object]] = {}
-    for variant, flags in VARIANTS.items():
+    for variant, mode in VARIANTS.items():
         deployment = deploy_dopencl(
-            make_ib_cpu_cluster(1, link=GIGABIT_ETHERNET), **flags
+            make_ib_cpu_cluster(1, link=GIGABIT_ETHERNET), push_transfers=False
         )
-        result = stream_zoom(
-            deployment.api, n_frames, base, readback=variant != "compute_only"
-        )
+        result = stream_zoom(deployment.api, n_frames, base, **mode)
         runs[variant] = result
         counters = deployment.driver.stats.snapshot()
         marks = result["marks"]
@@ -281,8 +282,8 @@ def assert_stream_record(record: ExperimentRecord) -> None:
     steady pipelined period must sit at the ``max(C_i, T)`` bound
     (within :data:`MAX_BOUND_ERROR`), every steady serial period at the
     ``C_i + T`` sum — together they pin both that the overlap happens
-    *and* that the ablation flag really removes it.  The counters prove
-    the mechanism: the pipelined run deferred one read per frame and
+    *and* that blocking reads really remove it.  The counters prove the
+    mechanism: the pipelined run deferred one read per frame and
     resolved each on a flush; the serial run deferred nothing.
     """
     rows = {row["variant"]: row for row in record.rows}
@@ -315,7 +316,7 @@ def assert_stream_record(record: ExperimentRecord) -> None:
     assert pipelined["makespan"] < serial["makespan"]
     # The mechanism, not just the effect: every frame's read deferred
     # and each fetch resolved on a window flush (one batch per frame);
-    # the ablation really fetched eagerly (zero deferrals); the
+    # the serial cell really fetched at enqueue (zero deferrals); the
     # compute-only cell never read at all.
     assert pipelined["deferred_reads"] == STREAM_FRAMES
     assert pipelined["deferred_read_batches"] == STREAM_FRAMES

@@ -215,7 +215,7 @@ class DOpenCLAPI:
         other servers may gate this queue through event wait lists)
         before the blocking finish round trip."""
         self._tick()
-        self.driver.flush_all()
+        self.driver.drain()
         self.driver.fanout([queue.server], lambda c: P.FinishRequest(queue_id=queue.id))
 
     def clFlush(self, queue: QueueStub) -> None:
@@ -299,7 +299,7 @@ class DOpenCLAPI:
             # completes; here the pending deferred fetch must run before
             # the release forwards, or the resolution would fetch a
             # buffer the daemon already freed.
-            self.driver.resolve_deferred_reads(buffers=[buffer])
+            self.driver.resolve_deferred_reads({buffer.id})
         buffer.release()
         if buffer.released:
             # Drop it from the read-coalescing candidate pool eagerly —
@@ -335,13 +335,13 @@ class DOpenCLAPI:
         # WAR hazard: a pending deferred read of this buffer must
         # observe the *pre-write* bytes — resolve it before the write
         # mutates anything.
-        self.driver.resolve_deferred_reads(buffers=[buffer], events=wait_for)
+        self.driver.resolve_deferred_reads({buffer.id} | {e.id for e in wait_for or ()})
         partial = offset != 0 or raw.size != buffer.size
         if partial and not buffer.planner.is_valid("client"):
             # Read-modify-write: fetch a valid copy before a partial update.
             buffer.planner.note_client_demand()
             plan = buffer.planner.acquire_read("client")
-            self.driver.run_transfer_plan(buffer, plan, queue)
+            self.driver.run_transfer_plans([(buffer, plan)], queue)
         buffer.write_host(offset, raw)
         event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
         self._upload_with_event(buffer, queue, event, wait_for)
@@ -400,16 +400,14 @@ class DOpenCLAPI:
         daemon in one fused fetch (pipeline mode only), so back-to-back
         result reads cost one round trip per source daemon.
 
-        A non-blocking read (with ``defer_reads`` on, the default) is a
-        *deferred fetch*: the enqueue records a read-dep on the buffer's
-        writers plus the ``wait_for`` list on the window graph and
-        returns immediately — zero network traffic, zero virtual-time
-        advance beyond the call overhead.  The returned array fills (and
-        the event resolves, with the transfer's real completion
-        timestamps) when the fetch rides the next relevant flush —
-        ``event.wait()``, a sync point touching the buffer, or
-        ``clFinish``.  With ``defer_reads=False`` the read is eager:
-        fetched synchronously at enqueue, like a blocking read."""
+        A non-blocking read is a *deferred fetch*: the enqueue records a
+        read-dep on the buffer's writers plus the ``wait_for`` list on
+        the window graph and returns immediately — zero network traffic,
+        zero virtual-time advance beyond the call overhead.  The
+        returned array fills (and the event resolves, with the
+        transfer's real completion timestamps) when the fetch rides the
+        next relevant flush — ``event.wait()``, a sync point touching
+        the buffer, or ``clFinish``."""
         t = self._tick()
         self._check_queue_buffer(queue, buffer)
         if nbytes is None:
@@ -418,7 +416,7 @@ class DOpenCLAPI:
         # mutates (note_client_demand / acquire_read below): a rejected
         # read must leave the coherence machinery untouched.
         buffer.check_range(offset, nbytes)
-        if not blocking and self.driver.defer_reads:
+        if not blocking:
             event = self.driver.new_deferred_read_event(
                 queue.context, queue.server.name
             )
@@ -430,18 +428,15 @@ class DOpenCLAPI:
             out = np.zeros(nbytes, dtype=np.uint8)
             self.driver.record_deferred_read(buffer, queue, event, offset, nbytes, out)
             return out, event
-        # Eager path: blocking reads, and every read under the
-        # ``defer_reads=False`` ablation.  An eager read is a *targeted*
-        # sync point: only the windows in the dependency closure drain —
-        # the buffer's writers (windowed or dispatched-but-pending,
-        # transitively through their wait lists) plus, on an in-order
-        # queue, the queue's own command chain (real OpenCL completes a
-        # blocking read after every prior command of that queue).
-        # Windows of causally unrelated daemons stay queued, and any
-        # stashed deferred-command failure surfaces here.  (The ablation
-        # drains too: a non-blocking read that skipped its writers could
-        # return pre-write bytes — the stale-read hazard.)
-        self.driver.flush_for_handles(
+        # A blocking read is a *targeted* sync point: only the windows in
+        # the dependency closure drain — the buffer's writers (windowed
+        # or dispatched-but-pending, transitively through their wait
+        # lists) plus, on an in-order queue, the queue's own command
+        # chain (real OpenCL completes a blocking read after every prior
+        # command of that queue).  Windows of causally unrelated daemons
+        # stay queued, and any stashed deferred-command failure surfaces
+        # here.
+        self.driver.drain(
             self.driver.buffer_sync_handles(buffer)
             + self.driver.queue_sync_handles(queue)
         )
@@ -463,7 +458,7 @@ class DOpenCLAPI:
         # a poisoned producer surfaces here and no directory records a
         # transfer that never happened.
         siblings: List[BufferStub] = []
-        if blocking and self.driver.batching_enabled:
+        if self.driver.batching_enabled:
             source = buffer.planner.client_download_source()
             if source is not None:
                 siblings = self.driver.read_gang_candidates(buffer, source)
@@ -471,7 +466,7 @@ class DOpenCLAPI:
                     handles = []
                     for sibling in siblings:
                         handles.extend(self.driver.buffer_sync_handles(sibling))
-                    self.driver.flush_for_handles(handles)
+                    self.driver.drain(handles)
         # Discard any stale completion record for this buffer so the pop
         # below observes only what *this* read's fetch (or staged-push
         # apply) actually did.
@@ -517,15 +512,15 @@ class DOpenCLAPI:
         src.check_range(src_offset, nbytes)
         dst.check_range(dst_offset, nbytes)
         # WAR hazard: pending deferred reads of dst see pre-copy bytes.
-        self.driver.resolve_deferred_reads(buffers=[dst], events=wait_for)
+        self.driver.resolve_deferred_reads({dst.id} | {e.id for e in wait_for or ()})
         # Client-mediated copy: validate the client's copy of src, update
         # dst on the client, push dst to the queue's server.
         src.planner.note_client_demand()
         plan = src.planner.acquire_read("client")
-        self.driver.run_transfer_plan(src, plan, queue)
+        self.driver.run_transfer_plans([(src, plan)], queue)
         if not dst.planner.is_valid("client") and (dst_offset != 0 or nbytes != dst.size):
             dst.planner.note_client_demand()
-            self.driver.run_transfer_plan(dst, dst.planner.acquire_read("client"), queue)
+            self.driver.run_transfer_plans([(dst, dst.planner.acquire_read("client"))], queue)
         dst.write_host(dst_offset, src.read_host(src_offset, nbytes))
         event = self.driver.new_event_stub(queue.context, queue.server.name, CL_COMMAND_WRITE_BUFFER)
         self._upload_with_event(dst, queue, event, wait_for)
@@ -957,7 +952,7 @@ class DOpenCLAPI:
             for i in kernel.writable_buffer_args
             if isinstance(kernel.args[i], BufferStub)
         ]
-        self.driver.resolve_deferred_reads(buffers=war_buffers, events=wait_for)
+        self.driver.resolve_deferred_reads({b.id for b in war_buffers} | {e.id for e in wait_for or ()})
         plans = []
         for buffer in kernel.buffer_args():
             if buffer.flags & CL_MEM_WRITE_ONLY and buffer.pristine:

@@ -25,8 +25,8 @@ Windows are **dependency-tracked** (see
 handles it reads and writes, so targeted sync points —
 ``clWaitForEvents`` / ``EventStub.wait`` and blocking transfers — drain
 only the windows in the transitive dependency closure of the awaited
-handle (:meth:`DOpenCLDriver.flush_for_handles`), while ``clFinish``
-keeps its full-drain semantics (:meth:`DOpenCLDriver.flush_all`).
+handle (:meth:`DOpenCLDriver.drain` with handles), while ``clFinish``
+keeps its full-drain semantics (:meth:`DOpenCLDriver.drain` without).
 Windows also flush before any synchronous request or bulk stream to the
 same daemon (which preserves per-daemon program order) and when they
 reach ``batch_window`` commands.
@@ -52,8 +52,8 @@ synchronous baseline and the differential-conformance oracle: every
 call is one round trip, creation calls fan out synchronously with
 eager error checks, completion relays are one synchronous request per
 replica server, and coherence plans execute one stream per transfer.
-``push_transfers``, ``defer_reads`` and ``program_cache`` are set
-independently of the mode.
+``push_transfers`` and ``program_cache`` are set independently of the
+mode.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from repro.core.client.connection import (
     parse_server_list,
 )
 from repro.core.client.platform import DOpenCLPlatform
-from repro.core.client.windows import WindowCommand, closure, closure_servers
+from repro.core.client.windows import WindowCommand, closure
 from repro.core.client.stubs import (
     BufferStub,
     ContextStub,
@@ -105,9 +105,9 @@ from repro.sim.errors import CommunicationError
 #: many deferred commands (sync points flush earlier).
 DEFAULT_BATCH_WINDOW = 32
 
-#: Safety bound on the :meth:`DOpenCLDriver.flush_all` drain loop: each
-#: pass dispatches every non-empty window, and dispatching can defer new
-#: commands (completion relays), so draining iterates until quiescent.
+#: Safety bound on the :meth:`DOpenCLDriver.drain` loop: each pass
+#: dispatches every relevant non-empty window, and dispatching can defer
+#: new commands (completion relays), so draining iterates until quiescent.
 #: Legitimate relay chains are shorter than the command count; hitting
 #: this bound means a feedback loop, which is always a bug.
 MAX_DRAIN_PASSES = 128
@@ -165,7 +165,6 @@ class DOpenCLDriver:
         name: Optional[str] = None,
         batch_window: Optional[int] = DEFAULT_BATCH_WINDOW,
         push_transfers: bool = True,
-        defer_reads: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         program_cache: bool = True,
     ) -> None:
@@ -195,17 +194,6 @@ class DOpenCLDriver:
         #: plan-identical to the pre-push directory (the byte oracle of
         #: the planner-equivalence suite).
         self.push_transfers = bool(push_transfers)
-        #: When True (default) non-blocking ``clEnqueueReadBuffer``
-        #: calls are *deferred fetches*: the enqueue records a read-dep
-        #: on the buffer's writers (plus any ``wait_for`` events) on the
-        #: window graph and returns immediately — zero network traffic,
-        #: zero virtual-time advance — and the bytes ride the next
-        #: relevant flush as/alongside a ``CoalescedBufferDownload``,
-        #: resolving the returned event with the fetch's real
-        #: transfer-completion timestamps.  False restores the eager
-        #: fetch-at-enqueue behaviour (the streaming-bench ablation,
-        #: which serialises compute and readback).
-        self.defer_reads = bool(defer_reads)
         #: Pending :class:`_DeferredRead` records, in enqueue (program)
         #: order.  Drained by :meth:`resolve_deferred_reads`.
         self._deferred_reads: List["_DeferredRead"] = []
@@ -498,12 +486,11 @@ class DOpenCLDriver:
           empty, so relays deferred mid-flush also go out;
         * ``clWaitForEvents`` / ``EventStub.wait`` / blocking transfers
           — targeted drains: only the windows in the awaited handle's
-          transitive dependency closure flush
-          (:meth:`flush_for_handles`); causally unrelated windows stay
-          queued;
+          transitive dependency closure flush (:meth:`drain`);
+          causally unrelated windows stay queued;
         * any synchronous request or bulk stream to the same daemon
-          (``roundtrip`` / ``fanout`` / ``send_bulk`` / ``fetch_bulk``
-          flush first, preserving per-daemon program order);
+          (``roundtrip`` / ``fanout`` / ``send_bulk`` flush first,
+          preserving per-daemon program order);
         * the window reaching ``batch_window`` commands.
 
         ``raise_errors=False`` is for calls made from inside a
@@ -540,7 +527,7 @@ class DOpenCLDriver:
             # (see ``_dispatch_depth``): commands deferred mid-dispatch
             # wait for the enclosing drain so they can never overtake a
             # swapped-out batch they causally depend on.
-            self.flush_connection(conn, raise_errors=raise_errors)
+            self.flush_connections([conn], raise_errors=raise_errors)
 
     def _record_batch_failures(self, window: Sequence[P.Request], outcome) -> None:
         """Stash the first daemon-reported failure of a dispatched batch
@@ -661,11 +648,6 @@ class DOpenCLDriver:
             )
             self._deferred_failure = (msgs[0], response, self.clock.now)
 
-    def flush_connection(self, conn: ServerConnection, raise_errors: bool = True) -> None:
-        """Send ``conn``'s window as one CommandBatch and settle the
-        deferred outcomes."""
-        self.flush_connections([conn], raise_errors=raise_errors)
-
     def mark_flush_barrier(self, conn: ServerConnection) -> None:
         """Record a ``clFlush`` submission barrier on ``conn``'s send
         window (see :meth:`~repro.core.client.windows.SendWindow.
@@ -680,54 +662,16 @@ class DOpenCLDriver:
         if self.batching_enabled and conn.window.mark_barrier():
             self.stats.flush_barriers += 1
 
-    def flush_all(self) -> None:
-        """Drain every connection's send window (full sync point —
-        ``clFinish`` semantics).
-
-        Dispatching a batch can *defer new commands*: a kernel completing
-        mid-batch notifies the client, whose handler appends completion
-        relays to other servers' (already swapped-out) windows.  A full
-        sync point promises that everything forwarded so far — including
-        such relays — has reached its daemon, so this loops until all
-        windows are empty (bounded by :data:`MAX_DRAIN_PASSES`)."""
-        for _ in range(MAX_DRAIN_PASSES):
-            targets = [c for c in self._connections.values() if c.connected]
-            self.flush_connections(targets, raise_errors=False)
-            if not any(c.window for c in targets):
-                break
-        else:
-            raise CLError(
-                ErrorCode.CL_INVALID_OPERATION,
-                f"send windows failed to quiesce after {MAX_DRAIN_PASSES} "
-                "flush passes (deferred-command feedback loop)",
-            )
-        # Full sync point: every pending deferred read resolves here —
-        # ``clFinish`` promises all forwarded work (fetches included)
-        # has completed.
-        self.resolve_deferred_reads(everything=True)
-        self._surface_deferred_failure()
-
-    def closure_connections(self, handles: Iterable[int]) -> List[ServerConnection]:
-        """The live connections in the transitive dependency closure of
-        ``handles`` (see :func:`repro.core.client.windows.
-        closure_servers` for the walk)."""
-        windows = {c.name: c.window for c in self.connections()}
-        names = closure_servers(handles, windows, self._events.get)
-        return [
-            self._connections[name]
-            for name in sorted(names)
-            if name in self._connections and self._connections[name].connected
-        ]
-
-    def flush_for_handles(
-        self, handles: Iterable[int], raise_errors: bool = True
+    def drain(
+        self, handles: Optional[Iterable[int]] = None, raise_errors: bool = True
     ) -> FrozenSet[int]:
-        """Targeted sync point: drain only the *relevant prefixes* of
-        the windows the given handles transitively depend on.  Returns
-        the final pass's relevance set (every handle the closure walk
-        visited), so follow-up prefix work — a coherence fetch right
-        after the drain — can reuse it instead of recomputing the
-        closure.
+        """Drain send windows: every window whole (``handles=None``, the
+        full sync point — ``clFinish`` semantics), or only the *relevant
+        prefixes* of the windows the given handles transitively depend
+        on (a targeted sync point).  Returns the final pass's relevance
+        set (every handle the closure walk visited; empty for a full
+        drain), so follow-up prefix work — a coherence fetch right after
+        the drain — can reuse it instead of recomputing the closure.
 
         Per closure window, only the prefix up to the last command
         touching a closure handle is dispatched
@@ -735,42 +679,50 @@ class DOpenCLDriver:
         commands queued after the awaited handles' producers are
         causally unrelated and stay windowed (counted in
         ``NetStats.prefix_flushes`` when a suffix actually remains).
+        Windows outside the closure are left untouched; that is the
+        entire point of the window graph.
 
-        Re-computes the closure each pass because draining can *extend*
-        it — flushing the owner of a cross-server wait chain delivers a
-        completion whose relay is deferred right back into a closure
-        window.  Windows outside the closure (daemons the awaited
-        handles do not depend on) are left untouched; that is the entire
-        point of the window graph.  Bounded by
-        :data:`MAX_DRAIN_PASSES`."""
-        handles = list(handles)
+        Dispatching a batch can *defer new commands*: a kernel completing
+        mid-batch notifies the client, whose handler appends completion
+        relays to other servers' (already swapped-out) windows, and
+        flushing the owner of a cross-server wait chain can defer a relay
+        right back into a closure window.  So every pass re-selects its
+        batches (re-computing the closure) and the loop runs until a pass
+        finds nothing to dispatch, bounded by :data:`MAX_DRAIN_PASSES`.
+
+        With ``raise_errors`` (client-initiated sync points) the pending
+        deferred reads the drain covers resolve — all of them for a full
+        drain, those whose event or buffer the closure walk visited for a
+        targeted one (the "next relevant flush" of the deferred-fetch
+        contract) — and any stashed deferred failure surfaces.  Internal
+        drains (``raise_errors=False``) stay resolution-free."""
+        handles = None if handles is None else list(handles)
         seen: FrozenSet[int] = frozenset()
         for _ in range(MAX_DRAIN_PASSES):
-            windows = {c.name: c.window for c in self.connections()}
-            servers, seen = closure(handles, windows, self._events.get)
-            batches: List[Tuple[ServerConnection, List[WindowCommand]]] = []
-            for name in sorted(servers):
-                conn = self._connections.get(name)
-                if conn is None or not conn.connected or not conn.window:
-                    continue
-                prefix = self._split_relevant_prefix(conn, seen)
-                if prefix:
-                    batches.append((conn, prefix))
+            if handles is None:
+                batches = [(c, c.window.swap_out()) for c in self.connections() if c.window]
+            else:
+                windows = {c.name: c.window for c in self.connections()}
+                servers, seen = closure(handles, windows, self._events.get)
+                batches = []
+                for name in sorted(servers):
+                    conn = self._connections.get(name)
+                    if conn is None or not conn.connected or not conn.window:
+                        continue
+                    prefix = self._split_relevant_prefix(conn, seen)
+                    if prefix:
+                        batches.append((conn, prefix))
             if not batches:
                 break
             self._dispatch_command_batches(batches)
         else:
             raise CLError(
                 ErrorCode.CL_INVALID_OPERATION,
-                f"dependency closure of {handles} failed to quiesce after "
-                f"{MAX_DRAIN_PASSES} flush passes (deferred-command feedback loop)",
+                f"send windows failed to quiesce after {MAX_DRAIN_PASSES} "
+                "flush passes (deferred-command feedback loop)",
             )
         if raise_errors:
-            # App-level targeted sync point: deferred reads whose event
-            # or buffer the closure walk visited ride this flush (the
-            # "next relevant flush" of the deferred-fetch contract).
-            # Internal drains (raise_errors=False) stay resolution-free.
-            self.resolve_deferred_reads(relevant=seen)
+            self.resolve_deferred_reads(None if handles is None else seen)
             self._surface_deferred_failure()
         return seen
 
@@ -875,7 +827,7 @@ class DOpenCLDriver:
         for ev in wait_for or ():
             if ev.id in self._local_event_ids:
                 if not ev.resolved:
-                    self.resolve_deferred_reads(event=ev)
+                    self.resolve_deferred_reads({ev.id})
                 continue
             ids.append(ev.id)
         return ids
@@ -885,7 +837,7 @@ class DOpenCLDriver:
         drains the read's dependency closure on the way)."""
         if stub.resolved:
             return
-        self.resolve_deferred_reads(event=stub)
+        self.resolve_deferred_reads({stub.id})
 
     def record_deferred_read(
         self,
@@ -904,48 +856,32 @@ class DOpenCLDriver:
         )
         self.stats.deferred_reads += 1
 
-    def has_deferred_read(self, event: EventStub) -> bool:
-        """True iff ``event`` belongs to a still-pending deferred read."""
-        return any(d.event is event for d in self._deferred_reads)
-
-    def resolve_deferred_reads(
-        self,
-        event: Optional[EventStub] = None,
-        buffers: Optional[Iterable[BufferStub]] = None,
-        events: Optional[Iterable[EventStub]] = None,
-        relevant: Optional[FrozenSet[int]] = None,
-        everything: bool = False,
-    ) -> None:
-        """Resolve pending deferred reads selected by any of the given
-        criteria (a specific read ``event`` — or any of ``events`` —,
-        reads of the given ``buffers``, reads whose event or buffer
-        handle appears in a flush's ``relevant`` set, or ``everything``
-        for a full sync point).  The selection is closed transitively over event
-        dependencies — a read whose ``wait_for`` names another pending
-        read pulls that one into the same group — and the whole group
-        resolves in enqueue order, fusing its downloads per source
+    def resolve_deferred_reads(self, ids: Optional[Set[int]] = None) -> None:
+        """Resolve the pending deferred reads whose event or buffer handle
+        is in ``ids`` (``None`` selects every pending read: the full sync
+        point).  Stub ids share one counter, so one id set covers a read
+        event, a set of events, the buffers a write is about to mutate or
+        a flush's relevance set.  The selection is closed transitively
+        over event dependencies — a read whose ``wait_for`` names another
+        pending read pulls that one into the same group — and the whole
+        group resolves in enqueue order, fusing its downloads per source
         daemon exactly like a blocking read's gang.
+
+        A targeted resolution (``ids`` given) is a sync point like a
+        blocking read: a deferred failure stashed by the group's drain
+        surfaces before the fetch runs and poisons the group's events.
+        The full sync point resolves first and surfaces afterwards
+        (:meth:`drain`).
 
         Re-entrant calls (resolution drains windows and waits on events,
         whose hooks land back here) are no-ops."""
         if self._resolving_reads or not self._deferred_reads:
             return
-        buffer_ids = {b.id for b in buffers} if buffers is not None else None
-        event_ids = {e.id for e in events} if events is not None else set()
-        if event is not None:
-            event_ids.add(event.id)
-        selected: List[_DeferredRead] = []
-        for d in self._deferred_reads:
-            if everything:
-                selected.append(d)
-            elif d.event.id in event_ids:
-                selected.append(d)
-            elif buffer_ids is not None and d.buffer.id in buffer_ids:
-                selected.append(d)
-            elif relevant is not None and (
-                d.event.id in relevant or d.buffer.id in relevant
-            ):
-                selected.append(d)
+        selected = [
+            d
+            for d in self._deferred_reads
+            if ids is None or d.event.id in ids or d.buffer.id in ids
+        ]
         if not selected:
             return
         # Transitive closure over event deps: if a selected read's
@@ -965,7 +901,7 @@ class DOpenCLDriver:
                     group.append(other)
                     frontier.append(other)
         group.sort(key=lambda d: self._deferred_reads.index(d))
-        self._resolve_deferred_group(group, member_ids)
+        self._resolve_deferred_group(group, member_ids, surface=ids is not None)
 
     def _dep_closure_ids(self, stub: EventStub) -> Set[int]:
         """All event ids reachable through ``depends_on`` from ``stub``."""
@@ -982,13 +918,13 @@ class DOpenCLDriver:
         return seen
 
     def _resolve_deferred_group(
-        self, group: List[_DeferredRead], member_ids: Set[int]
+        self, group: List[_DeferredRead], member_ids: Set[int], surface: bool
     ) -> None:
         """Resolve one dependency-closed group of deferred reads: drain
-        the reads' window closures, wait out their non-member event
-        deps, run the fused coherence fetch, then complete each event
-        with the real transfer timestamps and fill the caller-visible
-        arrays."""
+        the reads' window closures, surface a stashed failure (when
+        ``surface``), wait out their non-member event deps, run the
+        fused coherence fetch, then complete each event with the real
+        transfer timestamps and fill the caller-visible arrays."""
         # Daemon-loss poisoning: a read whose event was poisoned can
         # never be satisfied — drop it; its wait() raises the poison.
         live = [d for d in group if d.event.poisoned is None]
@@ -1003,10 +939,12 @@ class DOpenCLDriver:
             for d in live:
                 seeds.append(d.event.id)
                 seeds.extend(self.buffer_sync_handles(d.buffer))
-            self.flush_for_handles(seeds, raise_errors=False)
-            # Event deps (wait_for list + in-order queue predecessor):
-            # group members are exempt — they complete together below.
+            self.drain(seeds, raise_errors=False)
             try:
+                if surface:  # a targeted sync point, like a blocking read
+                    self._surface_deferred_failure()
+                # Event deps (wait_for list + in-order queue predecessor):
+                # group members are exempt — they complete together below.
                 for d in live:
                     for dep_id in d.event.depends_on:
                         if dep_id in member_ids:
@@ -1071,7 +1009,7 @@ class DOpenCLDriver:
         the exchange is re-attempted on communication faults; requests
         routed here are idempotent on replay (validation-only inits,
         whole-object peer writes, finish barriers)."""
-        self.flush_connection(conn)
+        self.flush_connections([conn])
         outcome = self._transport(
             conn,
             lambda: self.gcf.request(conn.daemon.gcf, msg, self.clock.now),
@@ -1090,7 +1028,7 @@ class DOpenCLDriver:
         validates (no state change), and the sink applies a whole-object
         write, so re-running the full init + payload + sink sequence
         after a lost leg converges to the same daemon state."""
-        self.flush_connection(conn)
+        self.flush_connections([conn])
         result = self._transport(
             conn,
             lambda: self.gcf.send_bulk(
@@ -1104,21 +1042,6 @@ class DOpenCLDriver:
         self.check(outcome.response)
         self.clock.advance_to(arrival)
         return outcome, arrival
-
-    def fetch_bulk(self, conn: ServerConnection, request: P.Request):
-        """Ordered stream-based download (flushes the window first)."""
-        self.flush_connection(conn)
-        result = self._transport(
-            conn,
-            lambda: self.gcf.fetch_bulk(conn.daemon.gcf, request, self.clock.now),
-            type(request).__name__,
-        )
-        if result is None:
-            self._surface_transport_loss(conn)
-        response, payload, arrival = result
-        self.check(response)
-        self.clock.advance_to(arrival)
-        return response, payload, arrival
 
     # ------------------------------------------------------------------
     # connection management (Section III-C + IV-B)
@@ -1171,7 +1094,7 @@ class DOpenCLDriver:
         conn = handle.connection
         if not conn.connected:
             raise CLError(ErrorCode.CL_INVALID_SERVER_WWU, f"{conn.name!r} already disconnected")
-        self.flush_connection(conn)  # drain the window before teardown
+        self.flush_connections([conn])  # drain the window before teardown
         t = self.gcf.disconnect(conn.daemon.gcf, self.clock.now)
         self.clock.advance_to(t)
         conn.connected = False
@@ -1213,7 +1136,7 @@ class DOpenCLDriver:
         """Return the lease when the application finishes (Section IV-C)."""
         if self.auth_id is None or self.device_manager is None:
             return
-        self.flush_all()
+        self.drain()
         outcome = self.gcf.request(
             self.device_manager.gcf, P.LeaseReleaseRequest(auth_id=self.auth_id), self.clock.now
         )
@@ -1374,7 +1297,7 @@ class DOpenCLDriver:
                     continue
                 # Synchronous-mode relay: flush so the replica exists,
                 # then one synchronous request per replica server.
-                self.flush_connection(conn, raise_errors=False)
+                self.flush_connections([conn], raise_errors=False)
                 self.gcf.request(
                     conn.daemon.gcf,
                     P.SetUserEventStatusRequest(event_id=msg.event_id, status=CL_COMPLETE),
@@ -1396,7 +1319,7 @@ class DOpenCLDriver:
         replica's creation."""
         if stub.resolved:
             return
-        self.flush_for_handles([stub.id])
+        self.drain([stub.id])
 
     def new_event_stub(self, context: ContextStub, owner_server: Optional[str], command_type: int) -> EventStub:
         """Create an event stub and its user-event replicas on every
@@ -1631,17 +1554,6 @@ class DOpenCLDriver:
         context._internal_queues[server_name] = queue
         return queue
 
-    def run_transfer_plan(
-        self,
-        buffer: BufferStub,
-        plan: Sequence[Transfer],
-        preferred_queue: Optional[QueueStub] = None,
-    ) -> None:
-        """Execute one buffer's coherence plan: move whole-object copies
-        between the client and servers (MSI) or directly between servers
-        (MOSI)."""
-        self.run_transfer_plans([(buffer, plan)], preferred_queue)
-
     def read_gang_candidates(
         self, buffer: BufferStub, source: str
     ) -> List[BufferStub]:
@@ -1687,8 +1599,10 @@ class DOpenCLDriver:
         preferred_queue: Optional[QueueStub] = None,
         read_group: bool = False,
     ) -> None:
-        """Execute several buffers' coherence plans with window-aware
-        coalescing of every transfer direction.
+        """Execute several buffers' coherence plans — whole-object copies
+        between the client and servers (MSI) or directly between servers
+        (MOSI) — with window-aware coalescing of every transfer
+        direction.
 
         The plans are partitioned by :func:`split_transfer_plan` (see
         there for why the regrouping preserves every data dependency)
@@ -1720,42 +1634,24 @@ class DOpenCLDriver:
             return
         if not self.batching_enabled:
             for buffer, plan in items:
-                self._run_transfers_unmerged(buffer, plan, preferred_queue)
+                for transfer in plan:
+                    if transfer.src == CLIENT:
+                        self._upload([buffer], transfer.dst, preferred_queue)
+                    elif transfer.dst == CLIENT:
+                        self._download([buffer], transfer.src, preferred_queue)
+                    else:
+                        self._peer_transfer([buffer], transfer.src, transfer.dst)
             return
         downloads, peers, uploads = split_transfer_plan(items)
         for server_name, buffers in downloads.items():
-            if len(buffers) > 1:
-                if read_group:
-                    self.stats.coalesced_reads += 1
-                    self.stats.coalesced_read_sections += len(buffers)
-                self._download_many_from_server(buffers, server_name, preferred_queue)
-            else:
-                self._download_from_server(buffers[0], server_name, preferred_queue)
+            if read_group and len(buffers) > 1:
+                self.stats.coalesced_reads += 1
+                self.stats.coalesced_read_sections += len(buffers)
+            self._download(buffers, server_name, preferred_queue)
         for (src_name, dst_name), buffers in peers.items():
-            if len(buffers) > 1:
-                self._peer_transfer_many(buffers, src_name, dst_name)
-            else:
-                self._server_to_server(buffers[0], src_name, dst_name)
+            self._peer_transfer(buffers, src_name, dst_name)
         for server_name, buffers in uploads.items():
-            if len(buffers) > 1:
-                self._upload_many_to_server(buffers, server_name, preferred_queue)
-            else:
-                self._upload_to_server(buffers[0], server_name, preferred_queue)
-
-    def _run_transfers_unmerged(
-        self,
-        buffer: BufferStub,
-        plan: Sequence[Transfer],
-        preferred_queue: Optional[QueueStub],
-    ) -> None:
-        """The pre-coalescing execution path: one stream per transfer."""
-        for transfer in plan:
-            if transfer.src == CLIENT:
-                self._upload_to_server(buffer, transfer.dst, preferred_queue)
-            elif transfer.dst == CLIENT:
-                self._download_from_server(buffer, transfer.src, preferred_queue)
-            else:
-                self._server_to_server(buffer, transfer.src, transfer.dst)
+            self._upload(buffers, server_name, preferred_queue)
 
     def _queue_on(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> QueueStub:
         if preferred is not None and preferred.server.name == server_name:
@@ -1770,53 +1666,49 @@ class DOpenCLDriver:
         self._events[stub.id] = stub
         return stub
 
-    def _upload_to_server(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> None:
-        conn = self.connection(server_name)
-        queue = self._queue_on(buffer, server_name, preferred)
-        stub = self._new_transfer_event(buffer.context, server_name)
-        init = P.BufferDataUpload(
-            buffer_id=buffer.id,
-            queue_id=queue.id,
-            event_id=stub.id,
-            offset=0,
-            nbytes=buffer.size,
-            wait_event_ids=[],
-        )
-        # Zero-copy: the client copy streams out as the ndarray itself.
-        self.send_bulk(conn, init, buffer.data, buffer.size)
-
-    def _upload_many_to_server(
+    def _upload(
         self,
         buffers: Sequence[BufferStub],
         server_name: str,
         preferred: Optional[QueueStub],
     ) -> None:
-        """Fuse several whole-object uploads to one daemon into a single
-        bulk stream (one init header, one raw stream, zero-copy: the
-        payload is the list of client-side ndarrays, never
-        concatenated)."""
+        """Stream whole-object uploads to one daemon: one
+        ``BufferDataUpload`` for a single buffer, or one fused
+        ``CoalescedBufferUpload`` for several (one init header, one raw
+        stream).  Zero-copy either way: the payload is the client-side
+        ndarray itself, or the list of them, never concatenated."""
         conn = self.connection(server_name)
         queue = self._queue_on(buffers[0], server_name, preferred)
         event_ids = [
             self._new_transfer_event(buffer.context, server_name).id for buffer in buffers
         ]
-        total = sum(b.size for b in buffers)
-        init = P.CoalescedBufferUpload(
-            queue_id=queue.id,
-            buffer_ids=[b.id for b in buffers],
-            event_ids=event_ids,
-            nbytes_list=[b.size for b in buffers],
-        )
-        self.stats.coalesced_uploads += 1
-        self.stats.coalesced_upload_sections += len(buffers)
-        self.send_bulk(conn, init, [b.data for b in buffers], total)
+        if len(buffers) == 1:
+            init = P.BufferDataUpload(
+                buffer_id=buffers[0].id,
+                queue_id=queue.id,
+                event_id=event_ids[0],
+                offset=0,
+                nbytes=buffers[0].size,
+                wait_event_ids=[],
+            )
+            payload = buffers[0].data
+        else:
+            init = P.CoalescedBufferUpload(
+                queue_id=queue.id,
+                buffer_ids=[b.id for b in buffers],
+                event_ids=event_ids,
+                nbytes_list=[b.size for b in buffers],
+            )
+            self.stats.coalesced_uploads += 1
+            self.stats.coalesced_upload_sections += len(buffers)
+            payload = [b.data for b in buffers]
+        self.send_bulk(conn, init, payload, sum(b.size for b in buffers))
 
     def _fetch_bulk_prefixed(self, conn: ServerConnection, make_request, seen):
         """Stream-based download that flushes only ``conn``'s window
         prefix relevant to ``seen`` (a relevance set from
-        :meth:`flush_for_handles`) instead of the whole window —
-        commands queued after the downloaded data's producers stay
-        windowed.
+        :meth:`drain`) instead of the whole window — commands queued
+        after the downloaded data's producers stay windowed.
 
         ``make_request`` builds the fetch request (and registers its
         transfer-event stubs); it is invoked *per attempt* under the
@@ -1841,9 +1733,20 @@ class DOpenCLDriver:
         self.clock.advance_to(arrival)
         return response, payload, arrival
 
-    def _download_from_server(self, buffer: BufferStub, server_name: str, preferred: Optional[QueueStub]) -> None:
-        # The download is gated daemon-side on the buffer's producing
-        # command: drain the buffer's dependency closure first so a
+    def _download(
+        self,
+        buffers: Sequence[BufferStub],
+        server_name: str,
+        preferred: Optional[QueueStub],
+    ) -> None:
+        """Fetch whole-object downloads from one daemon: one
+        ``BufferDataDownload`` for a single buffer, or one fused
+        ``CoalescedBufferDownload`` for several (one request round trip,
+        one merged stream back — the daemon's list of per-section
+        arrays, zero-copy, never concatenated — and one registered event
+        per section)."""
+        # The download is gated daemon-side on the buffers' producing
+        # commands: drain their dependency closure first so a
         # dispatched-but-pending writer (waiting on an event produced on
         # another daemon) can complete.  The transfer queue's handles
         # join the seeds so the drain covers its (possibly windowed)
@@ -1852,83 +1755,41 @@ class DOpenCLDriver:
         # the fetch then pushes out only whatever relevant prefix
         # remains; later, unrelated commands stay windowed.
         conn = self.connection(server_name)
-        queue = self._queue_on(buffer, server_name, preferred)
-        seen = self.flush_for_handles(
-            self.buffer_sync_handles(buffer) + self.queue_sync_handles(queue),
-            raise_errors=False,
-        )
-        # A staged push with the current epoch already carries exactly
-        # the bytes this fetch would download: consume it and skip the
-        # round trip (the flush above is the same one the demand path
-        # performs, so push-off behaviour is untouched).
-        if self.push_transfers and self._apply_staged_push(buffer):
-            return
-        attempt_stubs: List[EventStub] = []
-
-        def make_request():
-            # Fresh transfer event per attempt: the daemon registers the
-            # event ID before streaming data back, so a retried fetch
-            # must not replay an already-registered ID.
-            stub = self._new_transfer_event(buffer.context, server_name)
-            attempt_stubs[:] = [stub]
-            return P.BufferDataDownload(
-                buffer_id=buffer.id,
-                queue_id=queue.id,
-                event_id=stub.id,
-                offset=0,
-                nbytes=buffer.size,
-                wait_event_ids=[],
-            )
-
-        try:
-            _response, payload, arrival = self._fetch_bulk_prefixed(conn, make_request, seen)
-        except CLError as exc:
-            # The directory already marked the client copy valid
-            # (acquire_read is optimistic); the bytes never arrived.
-            # A push staged meanwhile stays parked: the rollback must
-            # not resurrect the optimistic acquire — only a *planned*
-            # retry read may consume it.
-            buffer.planner.abort_client_fetch(
-                f"download from {server_name!r} failed: {exc}"
-            )
-            raise
-        buffer.data[:] = as_uint8_array(payload)
-        self._record_fetch_completion(buffer, attempt_stubs[-1], arrival)
-
-    def _download_many_from_server(
-        self,
-        buffers: Sequence[BufferStub],
-        server_name: str,
-        preferred: Optional[QueueStub],
-    ) -> None:
-        """Fuse several whole-object downloads from one daemon into a
-        single fetch: one request round trip, one merged stream back
-        (the payload is the daemon's list of per-section arrays,
-        zero-copy, never concatenated), one registered event per
-        section — the download mirror of :meth:`_upload_many_to_server`."""
-        conn = self.connection(server_name)
         queue = self._queue_on(buffers[0], server_name, preferred)
-        handles: List[int] = self.queue_sync_handles(queue)
+        handles: List[int] = []
         for buffer in buffers:
             handles.extend(self.buffer_sync_handles(buffer))
-        seen = self.flush_for_handles(handles, raise_errors=False)
-        # Sections already staged by a current-epoch push drop out of
-        # the fetch; with every section staged the round trip vanishes
-        # entirely.  Push-off leaves ``remaining == buffers`` and the
-        # path below byte-identical to before.
-        remaining = list(buffers)
-        if self.push_transfers:
-            remaining = [b for b in buffers if not self._apply_staged_push(b)]
-            if not remaining:
-                return
+        seen = self.drain(handles + self.queue_sync_handles(queue), raise_errors=False)
+        # A staged push with the current epoch already carries exactly
+        # the bytes a section would download: consume it and drop the
+        # section; with every section staged the round trip vanishes.
+        # (The drain above is the same one the demand path performs, so
+        # push-off behaviour is untouched.)
+        remaining = [
+            b for b in buffers if not (self.push_transfers and self._apply_staged_push(b))
+        ]
+        if not remaining:
+            return
+        coalesced = len(buffers) > 1
         attempt_stubs: List[EventStub] = []
 
         def make_request():
-            # Fresh transfer events per attempt (see _download_from_server).
+            # Fresh transfer events per attempt: the daemon registers the
+            # event IDs before streaming data back, so a retried fetch
+            # must not replay already-registered IDs.
             attempt_stubs[:] = [
                 self._new_transfer_event(buffer.context, server_name)
                 for buffer in remaining
             ]
+            if not coalesced:
+                return P.BufferDataDownload(
+                    buffer_id=remaining[0].id,
+                    queue_id=queue.id,
+                    event_id=attempt_stubs[0].id,
+                    offset=0,
+                    nbytes=remaining[0].size,
+                    wait_event_ids=[],
+                )
             return P.CoalescedBufferDownload(
                 queue_id=queue.id,
                 buffer_ids=[b.id for b in remaining],
@@ -1936,12 +1797,18 @@ class DOpenCLDriver:
                 nbytes_list=[b.size for b in remaining],
             )
 
-        self.stats.coalesced_downloads += 1
-        self.stats.coalesced_download_sections += len(remaining)
+        if coalesced:
+            self.stats.coalesced_downloads += 1
+            self.stats.coalesced_download_sections += len(remaining)
         try:
             _response, payload, arrival = self._fetch_bulk_prefixed(conn, make_request, seen)
         except CLError as exc:
-            for buffer in remaining:  # optimistic acquire_read: see above
+            # The directory already marked the client copies valid
+            # (acquire_read is optimistic); the bytes never arrived.
+            # A push staged meanwhile stays parked: the rollback must
+            # not resurrect the optimistic acquire — only a *planned*
+            # retry read may consume it.
+            for buffer in remaining:
                 buffer.planner.abort_client_fetch(
                     f"download from {server_name!r} failed: {exc}"
                 )
@@ -1951,63 +1818,48 @@ class DOpenCLDriver:
             buffer.data[:] = data
             self._record_fetch_completion(buffer, stub, arrival)
 
-    def _server_to_server(self, buffer: BufferStub, src_name: str, dst_name: str) -> None:
-        """Section III-F: direct daemon-to-daemon synchronisation."""
-        # Like the download path: the source's copy may still be owed a
-        # write by a dispatched-but-pending command (gated on an event
-        # produced elsewhere) — drain the buffer's dependency closure so
-        # the peer copy ships the completed state.
-        self.flush_for_handles(self.buffer_sync_handles(buffer), raise_errors=False)
-        # A replica already staged at the destination by a current-epoch
-        # push replaces the whole demand hop with one deferred commit.
-        if self.push_transfers and self._apply_peer_push(buffer, dst_name):
+    def _peer_transfer(
+        self, buffers: Sequence[BufferStub], src_name: str, dst_name: str
+    ) -> None:
+        """Section III-F: direct daemon-to-daemon synchronisation — one
+        ``BufferPeerTransferRequest`` for a single buffer, or one
+        ``BufferPeerTransferBatch`` round trip shipping several sections
+        along the same (src, dst) daemon pair."""
+        # Like the download path: the source's copies may still be owed
+        # a write by a dispatched-but-pending command (gated on an event
+        # produced elsewhere) — drain the buffers' dependency closure so
+        # the peer copies ship the completed state.
+        handles: List[int] = []
+        for buffer in buffers:
+            handles.extend(self.buffer_sync_handles(buffer))
+        self.drain(handles, raise_errors=False)
+        # Sections already staged at the destination by a current-epoch
+        # push commit via their deferred PushCommit and drop out (see
+        # :meth:`_apply_peer_push`); push-off leaves the transfer whole.
+        remaining = [
+            b for b in buffers if not (self.push_transfers and self._apply_peer_push(b, dst_name))
+        ]
+        if not remaining:
             return
         src = self.connection(src_name)
         # The destination's window may hold commands that must precede the
         # incoming copy (buffer-state order is per-daemon).
         dst = self._connections.get(dst_name)
         if dst is not None and dst.connected:
-            self.flush_connection(dst)
-        self.roundtrip(
-            src,
-            P.BufferPeerTransferRequest(
-                buffer_id=buffer.id, peer_name=dst_name, nbytes=buffer.size
-            ),
-        )
-
-    def _peer_transfer_many(
-        self, buffers: Sequence[BufferStub], src_name: str, dst_name: str
-    ) -> None:
-        """Fuse several MOSI hops along one (src, dst) daemon pair into
-        a single :class:`~repro.core.protocol.messages.
-        BufferPeerTransferBatch` round trip — the source daemon ships
-        every section to the peer in one direct exchange."""
-        handles: List[int] = []
-        for buffer in buffers:
-            handles.extend(self.buffer_sync_handles(buffer))
-        self.flush_for_handles(handles, raise_errors=False)
-        # Sections already staged at the destination commit via their
-        # deferred PushCommit and drop out of the batch (see
-        # :meth:`_apply_peer_push`); push-off leaves the batch whole.
-        remaining = list(buffers)
-        if self.push_transfers:
-            remaining = [b for b in buffers if not self._apply_peer_push(b, dst_name)]
-            if not remaining:
-                return
-        src = self.connection(src_name)
-        dst = self._connections.get(dst_name)
-        if dst is not None and dst.connected:
-            self.flush_connection(dst)
-        self.stats.coalesced_peer_transfers += 1
-        self.stats.coalesced_peer_transfer_sections += len(remaining)
-        self.roundtrip(
-            src,
-            P.BufferPeerTransferBatch(
+            self.flush_connections([dst])
+        if len(buffers) == 1:
+            msg = P.BufferPeerTransferRequest(
+                buffer_id=buffers[0].id, peer_name=dst_name, nbytes=buffers[0].size
+            )
+        else:
+            self.stats.coalesced_peer_transfers += 1
+            self.stats.coalesced_peer_transfer_sections += len(remaining)
+            msg = P.BufferPeerTransferBatch(
                 peer_name=dst_name,
                 buffer_ids=[b.id for b in remaining],
                 nbytes_list=[b.size for b in remaining],
-            ),
-        )
+            )
+        self.roundtrip(src, msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -309,14 +309,3 @@ def closure(
                     push(read)
     return frozenset(servers), frozenset(seen)
 
-
-def closure_servers(
-    handles: Iterable[int],
-    windows,
-    event_of,
-) -> FrozenSet[str]:
-    """Server names in the transitive dependency closure of ``handles``
-    (the server half of :func:`closure`, kept for callers that do not
-    need the relevance set)."""
-    servers, _seen = closure(handles, windows, event_of)
-    return servers

@@ -27,7 +27,7 @@ batching benchmarks.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.hw.node import Host
 from repro.net.codec import CodecError
@@ -256,9 +256,9 @@ class NetStats:
 
     ``deferred_reads``
         Client-side: non-blocking ``clEnqueueReadBuffer`` calls recorded
-        as *deferred fetches* on the window graph (``defer_reads=True``)
-        — zero network traffic and zero virtual-time advance at enqueue;
-        the bytes ride a later relevant flush.
+        as *deferred fetches* on the window graph — zero network
+        traffic and zero virtual-time advance at enqueue; the bytes ride
+        a later relevant flush.
     ``deferred_read_batches``
         Client-side: deferred-read resolution groups that actually ran
         a sync point (one group may cover several pending reads, whose
@@ -329,6 +329,16 @@ class NetStats:
     def round_trips(self) -> int:
         """Synchronous exchanges initiated: requests + batches + fetches."""
         return self.requests + self.batches + self.bulk_fetches
+
+    @classmethod
+    def total(cls, stats: Iterable["NetStats"]) -> "NetStats":
+        """A fresh tally holding the counter-wise sum of ``stats`` (e.g.
+        every daemon of a deployment), added in iteration order."""
+        out = cls()
+        for one in stats:
+            for name in cls.__slots__:
+                setattr(out, name, getattr(out, name) + getattr(one, name))
+        return out
 
     def snapshot(self) -> Dict[str, int]:
         """All counters (plus the derived ``round_trips``) as a dict."""

@@ -65,7 +65,6 @@ def deploy_dopencl(
     n_clients: int = 1,
     batch_window: Optional[int] = None,
     push_transfers: bool = True,
-    defer_reads: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
     client_server_lists: Optional[List[List[str]]] = None,
     admission: Optional[AdmissionPolicy] = None,
@@ -86,11 +85,8 @@ def deploy_dopencl(
     per-transfer streams in every direction and one fetch per blocking
     read.  ``push_transfers`` toggles daemon-initiated predictive
     replication on every driver; ``False`` restores pure demand-driven
-    coherence.  ``defer_reads``
-    toggles window-deferred non-blocking reads on every driver (on, the
-    default, a ``blocking=False`` read records a deferred fetch that
-    rides the next relevant flush; ``False`` is the streaming-bench
-    ablation that fetches eagerly at enqueue).
+    coherence.  In both modes a ``blocking=False`` read records a
+    deferred fetch that rides the next relevant flush.
 
     ``retry_policy`` installs client-side transport resilience (a
     :class:`~repro.core.client.resilience.RetryPolicy`) on every driver;
@@ -146,7 +142,6 @@ def deploy_dopencl(
     for i, host in enumerate(client_hosts):
         kwargs = {
             "push_transfers": push_transfers,
-            "defer_reads": defer_reads,
             "retry_policy": retry_policy,
             "program_cache": program_cache,
         }

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from repro.net.gcf import NetStats
+
 
 def _hit_ratio(stats) -> float:
     """Cache answers per build resolution: ``(positive + negative hits)
@@ -70,15 +72,17 @@ def push_summary(deployment) -> Dict[str, object]:
     execution totals, and the derived hit/waste ratios."""
     drivers = getattr(deployment, "drivers", [])
     daemons = getattr(deployment, "daemons", [])
-    speculative = sum(d.stats.speculative_pushes for d in drivers)
-    commits = sum(d.stats.push_commits for d in drivers)
-    wasted = sum(d.stats.wasted_pushes for d in drivers)
+    clients = NetStats.total(d.stats for d in drivers)
+    servers = NetStats.total(d.gcf.stats for d in daemons)
+    speculative = clients.speculative_pushes
+    commits = clients.push_commits
+    wasted = clients.wasted_pushes
     return {
         "speculative_pushes": speculative,
         "push_commits": commits,
         "wasted_pushes": wasted,
-        "daemon_pushes": sum(d.gcf.stats.daemon_pushes for d in daemons),
-        "push_bytes": sum(d.gcf.stats.push_bytes for d in daemons),
+        "daemon_pushes": servers.daemon_pushes,
+        "push_bytes": servers.push_bytes,
         "hit_ratio": (commits / speculative) if speculative else 0.0,
         "waste_ratio": (wasted / speculative) if speculative else 0.0,
     }

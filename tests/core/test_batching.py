@@ -105,7 +105,7 @@ def test_deferred_errors_surface_at_sync_point():
         P.SetKernelArgRequest(kernel_id=999999, index=0, kind="value", value=1),
     )
     with pytest.raises(CLError) as err:
-        driver.flush_connection(queue.server)
+        driver.flush_connections([queue.server])
     assert "deferred SetKernelArgRequest" in err.value.message
 
 
@@ -119,17 +119,17 @@ def test_handler_context_flush_stashes_error_until_next_sync_point():
         queue.server,
         P.SetKernelArgRequest(kernel_id=999999, index=0, kind="value", value=1),
     )
-    driver.flush_connection(queue.server, raise_errors=False)  # no raise here
+    driver.flush_connections([queue.server], raise_errors=False)  # no raise here
     assert driver.pending_commands(queue.server.name) == 0
     with pytest.raises(CLError) as err:
-        driver.flush_all()  # empty windows, but the stashed error surfaces
+        driver.drain()  # empty windows, but the stashed error surfaces
     assert "deferred SetKernelArgRequest" in err.value.message
 
 
 def test_window_fills_force_a_flush():
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(batch_window=4)
     driver = deployment.driver
-    driver.flush_all()
+    driver.drain()
     before = driver.stats.batches
     for _ in range(4):
         api.clSetKernelArg(kernel, 1, np.float32(2.0))

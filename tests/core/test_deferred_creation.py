@@ -68,16 +68,34 @@ def test_stubs_usable_before_any_round_trip():
     assert daemon.registry.peek(driver.gcf.name, buf.id) is not None
 
 
-def test_failed_creation_surfaces_at_sync_point_naming_the_call():
+@pytest.mark.parametrize("sync_point", ["finish", "blocking_read", "nonblocking_read_wait"])
+def test_failed_creation_surfaces_at_sync_point_naming_the_call(sync_point):
+    """The failure surfaces at whichever sync point first needs the
+    doomed creation — ``clFinish``, a blocking read of the buffer, or a
+    wait on a non-blocking read of it — and it surfaces exactly once:
+    the next ``clFinish`` is clean."""
     deployment, api, ctx, queue, program, kernel, daemon = _gpu_context()
     _kept = _exhaust_device(api, ctx)
     bad = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, 1 << 30)  # 5th: no room
     assert bad.id > 0  # the stub itself is a valid promise
+    ev = None
     with pytest.raises(CLError) as err:
-        api.clFinish(queue)
+        if sync_point == "finish":
+            api.clFinish(queue)
+        elif sync_point == "blocking_read":
+            api.clEnqueueReadBuffer(queue, bad, blocking=True, nbytes=64)
+        else:
+            _data, ev = api.clEnqueueReadBuffer(queue, bad, blocking=False, nbytes=64)
+            api.clWaitForEvents([ev])
     assert err.value.code == ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE
     assert "CreateBufferRequest" in err.value.message
     assert str(bad.id) in err.value.message  # the failing call is identified
+    if ev is not None:
+        # The read's event is poisoned: waiting again re-raises.
+        assert not ev.resolved
+        with pytest.raises(CLError):
+            api.clWaitForEvents([ev])
+    api.clFinish(queue)
 
 
 def test_failed_creation_poisons_dependents_without_executing_them():

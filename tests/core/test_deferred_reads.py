@@ -6,8 +6,8 @@ here by a test that fails on the old code:
 1. **Stale reads** — ``blocking=False`` skipped the dependency-closure
    drain, so a read racing its producer kernel returned pre-write bytes.
    Now the enqueue records a read-dep on the buffer's writers and the
-   fetch rides the next relevant flush, under *every* flag combination
-   and in both forwarding modes.
+   fetch rides the next relevant flush, with and without pushes and in
+   both forwarding modes (blocking reads are checked alongside).
 2. **Eager fetch at enqueue** — the "non-blocking" read synchronously
    downloaded at enqueue.  Now the enqueue costs zero round trips, zero
    wire bytes and no virtual time beyond the call overhead, and the
@@ -83,25 +83,23 @@ def _scaled_buffer(api, ctx, program, device, value=2.0, n=64):
 # bug 1: the stale-read hazard, under every flag combination
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "defer_reads,pipeline,push_transfers",
+    "blocking,pipeline,push_transfers",
     list(itertools.product((True, False), repeat=3)),
 )
-def test_nonblocking_read_observes_its_producer(
-    defer_reads, pipeline, push_transfers
-):
-    """A non-blocking read enqueued right behind the (still windowed)
-    kernel that writes the buffer must observe the post-kernel bytes —
-    the read-dep on the buffer's writers drains the producer before the
-    fetch.  The pre-PR path skipped the closure drain and returned the
-    stale host copy (all ones).  ``pipeline=False`` runs the
-    synchronous mode (``batch_window=0``)."""
+def test_nonblocking_read_observes_its_producer(blocking, pipeline, push_transfers):
+    """A read enqueued right behind the (still windowed) kernel that
+    writes the buffer must observe the post-kernel bytes — the read-dep
+    on the buffer's writers drains the producer before the fetch.  The
+    pre-PR non-blocking path skipped the closure drain and returned the
+    stale host copy (all ones); blocking reads are held to the same
+    check.  ``pipeline=False`` runs the synchronous mode
+    (``batch_window=0``)."""
     deployment, api, devices, ctx, program = _deployment(
-        defer_reads=defer_reads,
         batch_window=None if pipeline else 0,
         push_transfers=push_transfers,
     )
     queue, buf, _ = _scaled_buffer(api, ctx, program, devices[0])
-    data, ev = api.clEnqueueReadBuffer(queue, buf, blocking=False)
+    data, ev = api.clEnqueueReadBuffer(queue, buf, blocking=blocking)
     api.clWaitForEvents([ev])
     np.testing.assert_allclose(data.view(np.float32), 2.0)
 

@@ -39,7 +39,7 @@ def run_kernel_on_two_server_context(direct: bool):
     # full drain afterwards pushes the replica bookkeeping (and any
     # deferred relay) out to the other server too.
     api.clWaitForEvents([event])
-    deployment.driver.flush_all()
+    deployment.driver.drain()
     return deployment, api, devices, event
 
 

@@ -70,7 +70,7 @@ def test_wait_leaves_unrelated_windows_and_finish_drains_them():
     assert driver.pending_commands(devices[0].server.name) == 0
     # The replica windows kept their traffic (creates + deferred relay).
     assert all(driver.pending_commands(d.server.name) > 0 for d in devices[1:])
-    driver.flush_all()
+    driver.drain()
     assert driver.pending_commands() == 0
     for dev in devices[1:]:
         daemon = deployment.daemon_on(dev.server.name)
@@ -85,7 +85,7 @@ def test_relayed_completion_respects_causality():
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(n_servers=3)
     event = api.clEnqueueNDRangeKernel(queue, kernel, (n,))
     api.clWaitForEvents([event])
-    deployment.driver.flush_all()  # deliver the windowed creates + relays
+    deployment.driver.drain()  # deliver the windowed creates + relays
     for dev in devices[1:]:
         daemon = deployment.daemon_on(dev.server.name)
         replica = daemon.registry.get(deployment.driver.gcf.name, event.id, UserEvent)
@@ -106,7 +106,7 @@ def test_deferred_relay_never_races_windowed_replica_create():
     # Flush ONLY the owner: the kernel runs, the completion notification
     # arrives, and the relay is deferred to the other server's window —
     # which still holds this event's CreateUserEventRequest.
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     window = driver.window_messages(other.name)
     create_pos = [i for i, m in enumerate(window)
                   if isinstance(m, P.CreateUserEventRequest) and m.event_id == event.id]
@@ -115,7 +115,7 @@ def test_deferred_relay_never_races_windowed_replica_create():
     assert create_pos and relay_pos and create_pos[0] < relay_pos[0]
     # Draining must not surface any deferred error (a race would produce
     # "no such event" from the daemon) and must resolve the replica.
-    driver.flush_all()
+    driver.drain()
     daemon = deployment.daemon_on(other.name)
     replica = daemon.registry.get(driver.gcf.name, event.id, UserEvent)
     assert replica.resolved
@@ -138,12 +138,12 @@ def test_direct_broadcast_before_windowed_replica_create_is_buffered():
     # flushing only the owner dispatches the launch, whose completion the
     # owner daemon broadcasts directly to its peers.
     assert driver.pending_commands(devices[1].server.name) > 0
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     daemon = deployment.daemon_on(devices[1].server.name)
     # No replica registered yet: the broadcast was buffered, not lost.
     assert daemon.registry.peek(driver.gcf.name, event.id) is None
     assert driver.pending_commands(devices[1].server.name) > 0
-    driver.flush_all()  # the create replays and applies the status
+    driver.drain()  # the create replays and applies the status
     replica = daemon.registry.get(driver.gcf.name, event.id, UserEvent)
     assert replica.resolved
     assert replica.end >= event.completed_at
@@ -162,7 +162,7 @@ def test_replica_less_events_do_not_relay():
     np.testing.assert_allclose(data.view(np.float32), 2.0)
     assert driver.stats.relays_suppressed > suppressed_before
     # And nothing surfaced as a deferred failure at the next sync point.
-    driver.flush_all()
+    driver.drain()
 
 
 def test_legacy_flag_restores_synchronous_relays():
@@ -196,7 +196,7 @@ def test_legacy_flag_restores_synchronous_relays():
 
 
 def test_overflow_relays_cannot_overtake_swapped_out_batches():
-    """Regression: while flush_all is mid-dispatch, windows already
+    """Regression: while a full drain is mid-dispatch, windows already
     swapped out are not protected by in-window order — a window-overflow
     flush of freshly deferred relays must NOT fire then, or a relay can
     reach the daemon before the swapped-out batch holding its replica's
@@ -210,7 +210,7 @@ def test_overflow_relays_cannot_overtake_swapped_out_batches():
     window — exactly the overflow threshold."""
     deployment, api, devices, ctx, queue, buf, kernel, n = _prepared(batch_window=4)
     driver = deployment.driver
-    driver.flush_all()
+    driver.drain()
     gate = api.clCreateUserEvent(ctx)
     events = [
         api.clEnqueueNDRangeKernel(queue, kernel, (n,), wait_for=[gate])

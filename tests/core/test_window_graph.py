@@ -1,7 +1,7 @@
 """Dependency-tracked command windows: closure-only flushing.
 
 Covers the window-graph layer (``repro.core.client.windows`` + the
-driver's ``flush_for_handles``): a targeted sync point drains only the
+driver's ``drain``): a targeted sync point drains only the
 windows in the awaited handle's transitive dependency closure —
 asserted through ``NetStats`` (no batch/request reaches an unrelated
 daemon) — while ``clFinish`` keeps full-drain semantics.  Also covers
@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client.windows import SendWindow, WindowCommand, closure_servers
+from repro.core.client.windows import SendWindow, WindowCommand, closure
 from repro.core.protocol import messages as P
 from repro.hw.cluster import make_ib_cpu_cluster
 from repro.ocl import CL_MEM_COPY_HOST_PTR, CL_MEM_READ_WRITE, CL_MEM_WRITE_ONLY
@@ -64,7 +64,7 @@ def test_closure_recurses_through_unresolved_event_reads():
     wa.append(WindowCommand("launch1", reads=(10, 2), writes=(1,)))
     wb.append(WindowCommand("launch2", reads=(11,), writes=(2,)))
     wc.append(WindowCommand("unrelated", reads=(12,), writes=(3,)))
-    servers = closure_servers([1], {"A": wa, "B": wb, "C": wc}, events.get)
+    servers = closure([1], {"A": wa, "B": wb, "C": wc}, events.get)[0]
     assert servers == frozenset({"A", "B"})
 
 
@@ -73,7 +73,7 @@ def test_closure_skips_resolved_events():
     wa, wb = SendWindow(), SendWindow()
     wa.append(WindowCommand("launch1", reads=(2,), writes=(1,)))
     wb.append(WindowCommand("old-launch", reads=(), writes=(2,)))
-    servers = closure_servers([1], {"A": wa, "B": wb}, events.get)
+    servers = closure([1], {"A": wa, "B": wb}, events.get)[0]
     assert servers == frozenset({"A"})
 
 
@@ -84,7 +84,7 @@ def test_closure_of_buffer_handle_finds_its_writers():
     wa, wb = SendWindow(), SendWindow()
     wa.append(WindowCommand("launch1", reads=(2,), writes=(1, 50)))  # writes buffer 50
     wb.append(WindowCommand("launch2", reads=(), writes=(2,)))
-    servers = closure_servers([50], {"A": wa, "B": wb}, events.get)
+    servers = closure([50], {"A": wa, "B": wb}, events.get)[0]
     assert servers == frozenset({"A", "B"})
 
 
@@ -108,7 +108,7 @@ def test_closure_walk_does_not_rescan_windows_per_handle(monkeypatch):
     for i, window in enumerate(windows.values()):
         window.append(WindowCommand(f"cmd{i}", reads=(), writes=(10_000 + i,)))
     handles = list(range(500))  # non-event handles, as cmd.reads would seed
-    servers = closure_servers(handles, windows, {}.get)
+    servers = closure(handles, windows, {}.get)[0]
     assert servers == frozenset()
     # Pre-fix: len(handles) * len(windows) == 4000 probes.
     assert probes["n"] <= len(windows)
@@ -132,7 +132,7 @@ def test_blocking_read_prefix_flushes_only_up_to_the_producer():
     api.clSetKernelArg(k2, 0, b2)
     api.clSetKernelArg(k2, 1, np.float32(5.0))
     api.clSetKernelArg(k2, 2, 64)
-    driver.flush_all()
+    driver.drain()
     ev1 = api.clEnqueueNDRangeKernel(qa1, k1, (64,))  # the producer of b1
     ev2 = api.clEnqueueNDRangeKernel(qa2, k2, (64,))  # after it, same window
     assert driver.pending_commands(devices[0].server.name) == 2
@@ -247,7 +247,7 @@ def test_closure_recurses_through_barrier_forced_commands():
     wa.append(WindowCommand("producer", reads=(), writes=(1,)))
     wb.append(WindowCommand("gate-producer", reads=(), writes=(2,)))
     wc.append(WindowCommand("unrelated", reads=(), writes=(9,)))
-    servers = closure_servers([1], {"A": wa, "B": wb, "C": wc}, events.get)
+    servers = closure([1], {"A": wa, "B": wb, "C": wc}, events.get)[0]
     assert servers == frozenset({"A", "B"})  # C stays untouched
 
 
@@ -263,7 +263,7 @@ def test_wait_does_not_flush_unrelated_daemons():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()  # settle creation traffic; start from clean windows
+    driver.drain()  # settle creation traffic; start from clean windows
     ev0 = api.clEnqueueNDRangeKernel(q0, k0, (64,))
     ev1 = api.clEnqueueNDRangeKernel(q1, k1, (64,))
     other_names = [d.server.name for d in devices[1:]]
@@ -304,7 +304,7 @@ def test_wait_follows_cross_server_dependency_chain():
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
     q2, b2, k2 = _kernel_on(api, ctx, program, devices[2], value=5.0)
-    driver.flush_all()
+    driver.drain()
     ev0 = api.clEnqueueNDRangeKernel(q0, k0, (64,))
     ev1 = api.clEnqueueNDRangeKernel(q1, k1, (64,), wait_for=[ev0])
     api.clEnqueueNDRangeKernel(q2, k2, (64,))
@@ -326,7 +326,7 @@ def test_blocking_read_flushes_only_the_buffers_closure():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     api.clEnqueueNDRangeKernel(q0, k0, (64,))
     api.clEnqueueNDRangeKernel(q1, k1, (64,))
     other = devices[1].server.name
@@ -354,11 +354,11 @@ def test_wait_follows_chain_after_dependent_launch_was_dispatched():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     ev_b = api.clEnqueueNDRangeKernel(q1, k1, (64,))       # windowed on B
     ev_a = api.clEnqueueNDRangeKernel(q0, k0, (64,), wait_for=[ev_b])
     # Dispatch launch A; it pends daemon-side on B's replica.
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     assert driver.pending_commands(devices[0].server.name) == 0
     assert driver.pending_commands(devices[1].server.name) > 0
     api.clWaitForEvents([ev_a])  # must flush B through the stub edge
@@ -375,11 +375,11 @@ def test_blocking_read_follows_chain_after_writer_was_dispatched():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     ev_b = api.clEnqueueNDRangeKernel(q1, k1, (64,))
     # Writer of b0 dispatched, pending on ev_b.
     api.clEnqueueNDRangeKernel(q0, k0, (64,), wait_for=[ev_b])
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     data, _ = api.clEnqueueReadBuffer(q0, b0)
     np.testing.assert_allclose(data.view(np.float32), 2.0)
 
@@ -393,7 +393,7 @@ def test_wait_on_gated_upload_event_follows_its_wait_list():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     ev_b = api.clEnqueueNDRangeKernel(q1, k1, (64,))  # windowed on B
     ev_up = api.clEnqueueWriteBuffer(
         q0, b0, False, 0, np.full(64, 7.0, dtype=np.float32), wait_for=[ev_b]
@@ -410,7 +410,7 @@ def test_blocking_read_after_gated_upload_follows_the_chain():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     ev_b = api.clEnqueueNDRangeKernel(q1, k1, (64,))
     api.clEnqueueWriteBuffer(
         q0, b0, False, 0, np.full(64, 7.0, dtype=np.float32), wait_for=[ev_b]
@@ -429,7 +429,7 @@ def test_blocking_read_drains_the_in_order_queue_chain():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     other = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR,
                                64 * 4, np.ones(64, dtype=np.float32))
     ev = api.clEnqueueNDRangeKernel(q0, k0, (64,))  # writes b0, windowed
@@ -458,11 +458,11 @@ def test_mosi_peer_transfer_drains_the_buffers_closure():
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
     q2, b2, k2 = _kernel_on(api, ctx, program, devices[2], value=5.0)
-    driver.flush_all()
+    driver.drain()
     ev_c = api.clEnqueueNDRangeKernel(q2, k2, (64,))          # windowed on C
     api.clEnqueueNDRangeKernel(q0, k0, (64,), wait_for=[ev_c])
     # b0's writer dispatched on A, pending on C's event.
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     # A kernel on B reading b0 plans a direct A->B hop (MOSI): the hop
     # must first drain C so the writer completes.
     api.clSetKernelArg(k1, 0, b0)
@@ -484,7 +484,7 @@ def test_clflush_defers_and_records_a_barrier():
     deployment, api, devices, ctx, program = _deployment(n_servers=2)
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
-    driver.flush_all()
+    driver.drain()
     ev = api.clEnqueueNDRangeKernel(q0, k0, (64,))
     pending_before = driver.pending_commands(devices[0].server.name)
     trips_before = driver.stats.round_trips
@@ -516,7 +516,7 @@ def test_prefix_flush_extends_through_a_barrier_behind_the_producer():
     api.clSetKernelArg(k2, 0, b2)
     api.clSetKernelArg(k2, 1, np.float32(5.0))
     api.clSetKernelArg(k2, 2, 64)
-    driver.flush_all()
+    driver.drain()
     ev1 = api.clEnqueueNDRangeKernel(qa1, k1, (64,))  # the producer of b1
     ev2 = api.clEnqueueNDRangeKernel(qa2, k2, (64,))  # independent queue
     api.clFlush(qa2)  # barrier covers BOTH queues' commands (one daemon)
@@ -547,7 +547,7 @@ def test_prefix_flush_with_producer_after_the_barrier_keeps_program_order():
     api.clSetKernelArg(k2, 0, b2)
     api.clSetKernelArg(k2, 1, np.float32(5.0))
     api.clSetKernelArg(k2, 2, 64)
-    driver.flush_all()
+    driver.drain()
     ev2 = api.clEnqueueNDRangeKernel(qa2, k2, (64,))  # before the flush
     api.clFlush(qa2)
     ev1 = api.clEnqueueNDRangeKernel(qa1, k1, (64,))  # the producer, after
@@ -570,7 +570,7 @@ def test_flush_barriers_do_not_widen_unrelated_closures():
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
     q1, b1, k1 = _kernel_on(api, ctx, program, devices[1], value=3.0)
-    driver.flush_all()
+    driver.drain()
     ev0 = api.clEnqueueNDRangeKernel(q0, k0, (64,))
     api.clEnqueueNDRangeKernel(q1, k1, (64,))
     api.clFlush(q1)  # barrier on B only
@@ -592,7 +592,7 @@ def test_coherence_download_drains_the_transfer_queues_pending_chain():
     deployment, api, devices, ctx, program = _deployment(n_servers=2)
     driver = deployment.driver
     q0, b0, k0 = _kernel_on(api, ctx, program, devices[0])
-    driver.flush_all()
+    driver.drain()
     ev0 = api.clEnqueueNDRangeKernel(q0, k0, (64,))  # writes b0
     gate = api.clCreateUserEvent(ctx)
     k2 = api.clCreateKernel(program, "scale")
@@ -603,7 +603,7 @@ def test_coherence_download_drains_the_transfer_queues_pending_chain():
     # Gated launch on the same queue, then force-dispatch it: it now
     # pends daemon-side on the (incomplete) user-event replica.
     api.clEnqueueNDRangeKernel(q0, k2, (64,), wait_for=[gate])
-    driver.flush_connection(driver.connection(devices[0].server.name))
+    driver.flush_connections([driver.connection(devices[0].server.name)])
     # Completing the gate is *deferred* — the status relay is windowed.
     api.clSetUserEventStatus(gate, 0)
     # A non-blocking read of b0 defers its fetch; waiting the event
@@ -627,7 +627,7 @@ def test_targeted_and_full_drains_agree_on_data():
         ev0 = api.clEnqueueNDRangeKernel(q0, k0, (64,))
         ev1 = api.clEnqueueNDRangeKernel(q1, k1, (64,), wait_for=[ev0])
         if full_drain:
-            deployment.driver.flush_all()
+            deployment.driver.drain()
         api.clWaitForEvents([ev1])
         d0, _ = api.clEnqueueReadBuffer(q0, b0)
         d1, _ = api.clEnqueueReadBuffer(q1, b1)

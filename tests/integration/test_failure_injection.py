@@ -80,13 +80,13 @@ def test_remote_device_memory_exhaustion():
     kept = [api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk) for _ in range(4)]
     with pytest.raises(CLError) as err:
         api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk)
-        driver.flush_all()  # the sync point where the failure lands
+        driver.drain()  # the sync point where the failure lands
     assert err.value.code == ErrorCode.CL_MEM_OBJECT_ALLOCATION_FAILURE
     assert "CreateBufferRequest" in err.value.message
     # Releasing one frees the device memory for a new allocation.
     api.clReleaseMemObject(kept.pop())
     buf = api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, chunk)
-    driver.flush_all()  # release + create replay in program order: ok
+    driver.drain()  # release + create replay in program order: ok
     assert buf.size == chunk
 
 
@@ -97,7 +97,7 @@ def test_oversized_buffer_rejected_remotely():
     ctx = api.clCreateContext(gpus[:1])
     api.clCreateBuffer(ctx, CL_MEM_READ_WRITE, (1 << 30) + 1)  # promise, no raise
     with pytest.raises(CLError) as err:
-        deployment.driver.flush_all()  # the deferred rejection lands here
+        deployment.driver.drain()  # the deferred rejection lands here
     assert err.value.code == ErrorCode.CL_INVALID_BUFFER_SIZE
     assert "CreateBufferRequest" in err.value.message
 

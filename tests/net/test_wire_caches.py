@@ -140,7 +140,7 @@ def test_client_encode_cache_dedups_fanned_out_commands():
     driver = deployment.driver
     hits_before = driver.stats.encode_cache_hits
     api.clSetKernelArg(kernel, 1, np.float32(5.0))  # fans out to 2 servers
-    driver.flush_all()
+    driver.drain()
     assert driver.stats.encode_cache_hits > hits_before
 
 
@@ -150,7 +150,7 @@ def test_client_decode_cache_dedups_identical_acks():
     for _ in range(3):
         api.clSetKernelArg(kernel, 1, np.float32(5.0))
     hits_before = driver.stats.decode_cache_hits
-    driver.flush_all()  # batches of identical Acks come back
+    driver.drain()  # batches of identical Acks come back
     assert driver.stats.decode_cache_hits > hits_before
 
 

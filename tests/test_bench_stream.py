@@ -1,7 +1,7 @@
 """Tier-1 wrapper for the double-buffered streaming overlap bench.
 
 Runs the Mandelbrot-zoom stream three ways (pipelined deferred reads /
-``defer_reads=False`` serial ablation / compute-only calibration) and
+blocking-read serial cell / compute-only calibration) and
 applies the shared stream gate: steady-state pipelined periods must sit
 on the ``max(compute, transfer)`` bound while the serial ablation pays
 the ``compute + transfer`` sum.  The fresh record also gates against the
